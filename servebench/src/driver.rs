@@ -14,7 +14,7 @@ use lserve_core::{RequestHandle, RequestSpec, Scheduler, ServingEvent, ServingRe
 
 use crate::spans::SpanRecorder;
 use crate::workload::{
-    longdoc_request, plan_open, Arrivals, Planned, WorkloadSpec, LONGDOC_PROMPTS,
+    longdoc_request, plan_persona, Arrivals, Planned, WorkloadSpec, LONGDOC_PROMPTS,
 };
 
 /// Seconds past the window an unfinished request may take before the driver
@@ -142,8 +142,9 @@ struct Tracked {
 ///
 /// An open loop sends every arrival due inside the window; a closed loop
 /// keeps its client busy and stops only at the end of a whole
-/// [`LONGDOC_PROMPTS`] cycle past the window, so every run covers each
-/// context length equally often. Either way the driver then drains (up to
+/// [`LONGDOC_PROMPTS`] cycle (the one ending nearest the window's end, see
+/// [`another_cycle`]), so every run covers each context length equally
+/// often. Either way the driver then drains (up to
 /// [`DRAIN_CAP_S`]), cancels stragglers, flushes the prefix cache and checks
 /// the scheduler's accounting.
 pub fn drive(
@@ -165,7 +166,7 @@ pub fn drive(
 
     match spec.arrivals {
         Arrivals::Open { rate_per_s } => {
-            let plan = plan_open(spec.workload, seed, rate_per_s, seconds);
+            let plan = plan_persona(seed, rate_per_s, seconds);
             busy.from_s = plan
                 .get(spec.warmup_requests(plan.len()))
                 .map_or(0.0, |p| p.due_s);
@@ -194,7 +195,10 @@ pub fn drive(
                 } else if next < plan.len() {
                     let wait = plan[next].due_s - now();
                     if wait > 0.0 {
-                        std::thread::sleep(Duration::from_secs_f64(wait));
+                        // Idle, not driver work: kept out of its self time.
+                        rec.time("idle", "idle", None, || {
+                            std::thread::sleep(Duration::from_secs_f64(wait))
+                        });
                     }
                 } else {
                     break;
@@ -204,9 +208,9 @@ pub fn drive(
                 }
             }
         }
-        Arrivals::Closed { clients } => {
-            assert_eq!(clients, 1, "the closed loop models one waiting user");
+        Arrivals::Closed => {
             let mut i = 0;
+            let mut cycle_start_s = 0.0;
             submit(
                 sched,
                 rec,
@@ -236,8 +240,15 @@ pub fn drive(
                     continue;
                 }
                 i += 1;
-                if (i % LONGDOC_PROMPTS.len() == 0 && now() >= seconds) || cancelled_stragglers {
+                if cancelled_stragglers {
                     break;
+                }
+                if i % LONGDOC_PROMPTS.len() == 0 {
+                    let t = now();
+                    if !another_cycle(t, t - cycle_start_s, seconds) {
+                        break;
+                    }
+                    cycle_start_s = t;
                 }
                 let t = now();
                 submit(sched, rec, &mut tracked, longdoc_request(seed, i), t, t);
@@ -268,6 +279,14 @@ pub fn drive(
         leaked_pages: sched.pool_in_use(),
         trace_ns,
     }
+}
+
+/// Whether the closed loop starts another [`LONGDOC_PROMPTS`] cycle at
+/// `now_s`, the last one having taken `last_cycle_s`: only if that brings
+/// the run's end closer to the window's. The run thus ends within half a
+/// cycle of the window instead of up to a whole cycle past it.
+pub fn another_cycle(now_s: f64, last_cycle_s: f64, seconds: f64) -> bool {
+    now_s + last_cycle_s / 2.0 < seconds
 }
 
 /// Measured cost of one span (`begin` + `end`) on the running host, ns.

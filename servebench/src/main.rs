@@ -1,21 +1,17 @@
 //! `servebench`: wall-clock serving benchmark.
 //!
 //! ```text
-//! servebench --workload <longdoc|chat|persona> --seed <n> --seconds <s> --trace <0|1>
+//! servebench --workload <longdoc|persona> --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
-//! Sets up the engine (weights, executor, one warm-up request) several
-//! times and reports the median as `setup_s`, drives the workload for the
-//! window on the wall clock, replays a fixed sample of its requests solo and
-//! checks the tokens, then prints one line per metric followed by the JSON
-//! result as the last line of standard output. `--trace 0` reports the
+//! Sets up the engine (weights, executor, one warm-up request), drives the
+//! workload for the window on the wall clock, replays a fixed sample of its
+//! requests solo and checks the tokens, then prints one line per metric
+//! followed by the JSON result as the last line of standard output. `--trace 0` reports the
 //! end-to-end metrics; `--trace 1` records spans, runs the per-layer probes,
 //! reports the per-layer metrics and writes the spans to
 //! `.bench_out/<workload>-seed<n>.spans.json`. Exits nonzero when any
 //! output or accounting check fails.
-//!
-//! `--rate <req/s>` overrides an open-loop workload's arrival rate; it is
-//! for finding the saturation rate, not for benchmark runs.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -32,24 +28,19 @@ use lserve_servebench::spans::{self_time_by_layer, SpanRecorder};
 use lserve_servebench::stats::{
     band_median, mean, median, percentile, ratio, tail_percentile, Quantile,
 };
-use lserve_servebench::workload::{Arrivals, Workload, WorkloadSpec, LONGDOC_PROMPTS};
+use lserve_servebench::workload::{Workload, WorkloadSpec, LONGDOC_PROMPTS};
 
-/// Independent set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 5;
+/// Set-ups per round. A round runs before the window, after it, and after
+/// each solo replay of the output check; `setup_s` is the median over all
+/// rounds. The host's speed drifts over seconds, so set-ups spread over the
+/// run's length vary less from run to run than back-to-back ones.
+const SETUPS_PER_ROUND: usize = 3;
 
-/// Layers spans are charged to; each gets a `selftime.<layer>_s` metric
-/// (0 when the workload recorded no span for it).
-const LAYERS: [&str; 9] = [
-    "driver",
-    "serving",
-    "executor",
-    "attention",
-    "selector",
-    "kvcache",
-    "prefixcache",
-    "quant",
-    "tensor",
-];
+/// Layers whose spans cover the serving window; each gets a
+/// `selftime.<layer>_s` metric. The probes' spans, recorded after the
+/// window, are written out with the rest but not reported: their self time
+/// follows the probes' fixed repetition counts, not the workload.
+const LAYERS: [&str; 2] = ["driver", "serving"];
 
 struct Args {
     workload: WorkloadSpec,
@@ -63,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
     let mut seed = None;
     let mut seconds = None;
     let mut trace = None;
-    let mut rate = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let value = it.next().ok_or(format!("{flag} needs a value"))?;
@@ -89,19 +79,11 @@ fn parse_args() -> Result<Args, String> {
                     _ => return Err("--trace takes 0 or 1".into()),
                 })
             }
-            "--rate" => rate = Some(value.parse::<f64>().map_err(|e| format!("--rate: {e}"))?),
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
-    let mut workload: WorkloadSpec = workload.ok_or("--workload is required")?;
-    if let Some(r) = rate {
-        match &mut workload.arrivals {
-            Arrivals::Open { rate_per_s } if r > 0.0 => *rate_per_s = r,
-            _ => return Err("--rate needs a positive rate and an open-loop workload".into()),
-        }
-    }
     Ok(Args {
-        workload,
+        workload: workload.ok_or("--workload is required")?,
         seed: seed.unwrap_or(0),
         seconds: seconds.ok_or("--seconds is required")?,
         trace: trace.unwrap_or(false),
@@ -109,11 +91,11 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Weights, executor, one warm-up request on a throwaway scheduler, and the
-/// measured scheduler — timed [`SETUPS`] times.
-fn setup() -> (Arc<ModelExecutor>, Scheduler, Vec<f64>) {
-    let mut times = Vec::with_capacity(SETUPS);
+/// measured scheduler, [`SETUPS_PER_ROUND`] times; pushes each set-up's wall
+/// time to `times` and returns the last one built.
+fn setup_round(times: &mut Vec<f64>) -> (Arc<ModelExecutor>, Scheduler) {
     let mut built = None;
-    for _ in 0..SETUPS {
+    for _ in 0..SETUPS_PER_ROUND {
         let start = Instant::now();
         let exec = config::build_executor();
         let mut warm = Scheduler::new(Arc::clone(&exec), config::scheduler_config());
@@ -126,8 +108,7 @@ fn setup() -> (Arc<ModelExecutor>, Scheduler, Vec<f64>) {
         times.push(start.elapsed().as_secs_f64());
         built = Some((exec, sched));
     }
-    let (exec, sched) = built.expect("at least one set-up");
-    (exec, sched, times)
+    built.expect("at least one set-up")
 }
 
 /// The solo-replay check over the workload's fixed sample.
@@ -141,7 +122,13 @@ struct CheckResult {
     selector_reuses: u64,
 }
 
-fn check_outputs(exec: &Arc<ModelExecutor>, spec: &WorkloadSpec, out: &RunOutput) -> CheckResult {
+/// `after_each` runs after every replay.
+fn check_outputs(
+    exec: &Arc<ModelExecutor>,
+    spec: &WorkloadSpec,
+    out: &RunOutput,
+    mut after_each: impl FnMut(),
+) -> CheckResult {
     let mut res = CheckResult {
         checked: 0,
         matched: 0,
@@ -175,6 +162,7 @@ fn check_outputs(exec: &Arc<ModelExecutor>, spec: &WorkloadSpec, out: &RunOutput
         res.selector_scored += stats.selector_logical_scored;
         res.selector_invocations += stats.selector_invocations;
         res.selector_reuses += stats.selector_reuses;
+        after_each();
     }
     res
 }
@@ -231,7 +219,13 @@ fn latencies(records: &[&RequestRecord]) -> (Vec<f64>, Vec<f64>) {
     (ttfts, gaps)
 }
 
-fn end_to_end(args: &Args, out: &RunOutput, check: &CheckResult, setup: &[f64]) -> Vec<Line> {
+fn end_to_end(
+    args: &Args,
+    out: &RunOutput,
+    check: &CheckResult,
+    setup: &[f64],
+    peak_rss_mb: f64,
+) -> Vec<Line> {
     let spec = &args.workload;
     let sent = out.records.len();
     let measured = spec.measured(&out.records);
@@ -267,7 +261,7 @@ fn end_to_end(args: &Args, out: &RunOutput, check: &CheckResult, setup: &[f64]) 
             "frac",
             sent,
         ),
-        Line::plain("peak_rss_mb", peak_rss_mb(), "MB", 1),
+        Line::plain("peak_rss_mb", peak_rss_mb, "MB", 1),
         Line::plain(
             "output_match",
             ratio(check.matched as f64, check.checked as f64),
@@ -585,7 +579,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("servebench: {e}");
             eprintln!(
-                "usage: servebench --workload <longdoc|chat|persona> --seed <n> --seconds <s> --trace <0|1>"
+                "usage: servebench --workload <longdoc|persona> --seed <n> --seconds <s> --trace <0|1>"
             );
             return ExitCode::from(2);
         }
@@ -603,10 +597,17 @@ fn main() -> ExitCode {
         args.trace
     );
 
-    let (exec, mut sched, setup_times) = setup();
+    let mut setup_times = Vec::new();
+    let (exec, mut sched) = setup_round(&mut setup_times);
     let mut rec = SpanRecorder::new(args.trace);
     let out = drive(&spec, args.seed, args.seconds, &mut sched, &mut rec);
-    let check = check_outputs(&exec, &spec, &out);
+    // The serving window's peak, before the replays and later set-ups.
+    let rss_mb = peak_rss_mb();
+    drop(sched);
+    setup_round(&mut setup_times);
+    let check = check_outputs(&exec, &spec, &out, || {
+        setup_round(&mut setup_times);
+    });
 
     let sent = out.records.len();
     let failed = out.records.iter().filter(|r| !r.is_finished()).count();
@@ -635,7 +636,7 @@ fn main() -> ExitCode {
         }
         lines
     } else {
-        end_to_end(&args, &out, &check, &setup_times)
+        end_to_end(&args, &out, &check, &setup_times, rss_mb)
     };
     for l in &lines {
         let q = l.q.map_or(String::new(), |q| format!(" q={q:.4}"));

@@ -1,16 +1,16 @@
-//! The three traffic mixes, generated from `--seed` alone.
+//! The two traffic mixes, generated from `--seed` alone.
 //!
-//! Prompts, output lengths and arrival times depend only on the seed (and,
-//! for open loops, the window length). Open loops draw every random quantity
-//! by jittered stratified sampling in blocks of [`BLOCK`] consecutive
-//! requests: within a block, the `j`-th of the [`BLOCK`] strata contributes
-//! the probability `(j + u) / BLOCK` (`u` uniform), in a seeded order. The
+//! Prompts and arrival times depend only on the seed (and, for the open
+//! loop, the window length). The open loop draws every random quantity by
+//! jittered stratified sampling in blocks of [`BLOCK`] consecutive requests:
+//! within a block, the `j`-th of the [`BLOCK`] strata contributes the
+//! probability `(j + u) / BLOCK` (`u` uniform), in a seeded order. The
 //! inter-arrival gaps are the exponential distribution's quantiles at those
-//! probabilities (Poisson-shaped arrivals), prompt and output lengths are
-//! their uniform quantiles, and each block of `persona` requests uses every
-//! persona once. Any stretch of the traffic thus carries nearly the same load
-//! and size mix for every seed — where the bursts fall varies, the load does
-//! not — which keeps run-to-run spread down without fixing the schedule.
+//! probabilities (Poisson-shaped arrivals), and each block of `persona`
+//! requests uses every persona once. Any stretch of the traffic thus carries
+//! nearly the same load and persona mix for every seed — where the bursts
+//! fall varies, the load does not — which keeps run-to-run spread down
+//! without fixing the schedule.
 
 use crate::driver::RequestRecord;
 use crate::rng::Rng;
@@ -23,8 +23,6 @@ pub const VOCAB: u32 = 1024;
 pub enum Workload {
     /// One client, long unshared documents (4k / 8k / 16k), 512 outputs.
     Longdoc,
-    /// Open-loop short unshared prompts (32–512), 16–128 outputs.
-    Chat,
     /// Open-loop prompts sharing a system prompt and one of 8 personas.
     Persona,
 }
@@ -32,11 +30,8 @@ pub enum Workload {
 /// How requests are offered.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Arrivals {
-    /// `clients` users, each sending its next request when the last finishes.
-    Closed {
-        /// Concurrent users.
-        clients: usize,
-    },
+    /// One user, sending the next request when the last finishes.
+    Closed,
     /// Poisson-shaped arrivals at a fixed rate.
     Open {
         /// Mean arrivals per second.
@@ -81,10 +76,6 @@ pub const WARMUP_FRAC: f64 = 0.25;
 pub const LONGDOC_PROMPTS: [usize; 3] = [4096, 8192, 16_384];
 /// `longdoc` output length.
 pub const LONGDOC_OUTPUT: usize = 512;
-/// `chat` prompt length range (inclusive).
-pub const CHAT_PROMPT: (usize, usize) = (32, 512);
-/// `chat` output length range (inclusive).
-pub const CHAT_OUTPUT: (usize, usize) = (16, 128);
 /// `persona` shared system prompt length.
 pub const PERSONA_SYSTEM: usize = 2048;
 /// Number of personas.
@@ -103,24 +94,14 @@ impl WorkloadSpec {
             "longdoc" => WorkloadSpec {
                 workload: Workload::Longdoc,
                 name: "longdoc",
-                arrivals: Arrivals::Closed { clients: 1 },
+                arrivals: Arrivals::Closed,
                 slo: Slo {
                     ttft_ms: 30_000.0,
                     tbt_ms: 5.0,
                 },
-                check_every: 3,
-                check_max: 1,
-            },
-            "chat" => WorkloadSpec {
-                workload: Workload::Chat,
-                name: "chat",
-                arrivals: Arrivals::Open { rate_per_s: 3.6 },
-                slo: Slo {
-                    ttft_ms: 1_000.0,
-                    tbt_ms: 25.0,
-                },
-                check_every: 8,
-                check_max: 6,
+                // The first cycle: one request at each context length.
+                check_every: 1,
+                check_max: LONGDOC_PROMPTS.len(),
             },
             "persona" => WorkloadSpec {
                 workload: Workload::Persona,
@@ -130,7 +111,8 @@ impl WorkloadSpec {
                     ttft_ms: 1_000.0,
                     tbt_ms: 25.0,
                 },
-                check_every: 8,
+                // Three requests spread over the run.
+                check_every: 13,
                 check_max: 3,
             },
             _ => return None,
@@ -145,7 +127,7 @@ impl WorkloadSpec {
     /// blocks, rounded.
     pub fn warmup_requests(&self, sent: usize) -> usize {
         match self.arrivals {
-            Arrivals::Closed { .. } => 0,
+            Arrivals::Closed => 0,
             Arrivals::Open { .. } => (WARMUP_FRAC * (sent / BLOCK) as f64).round() as usize * BLOCK,
         }
     }
@@ -231,15 +213,6 @@ pub fn arrival_schedule(seed: u64, rate_per_s: f64, seconds: f64) -> Vec<f64> {
     due
 }
 
-/// `n` lengths in `lo..=hi` at stratified probabilities.
-fn stratified_lengths(rng: &mut Rng, n: usize, (lo, hi): (usize, usize)) -> Vec<usize> {
-    let span = (hi - lo + 1) as f64;
-    stratified_probabilities(rng, n)
-        .into_iter()
-        .map(|p| lo + (p * span) as usize)
-        .collect()
-}
-
 /// The shared prompt pieces of `persona`: a system prompt and the personas.
 pub fn persona_set(seed: u64) -> (Vec<u32>, Vec<Vec<u32>>) {
     let mut rng = Rng::new(seed, 0x9E850);
@@ -250,51 +223,29 @@ pub fn persona_set(seed: u64) -> (Vec<u32>, Vec<Vec<u32>>) {
     (system, personas)
 }
 
-/// The open-loop plan of `chat` or `persona` for a `seconds`-long window.
-///
-/// # Panics
-///
-/// Panics for `longdoc` (a closed loop: see [`longdoc_request`]).
-pub fn plan_open(workload: Workload, seed: u64, rate_per_s: f64, seconds: f64) -> Vec<Planned> {
+/// The open-loop plan of `persona` for a `seconds`-long window.
+pub fn plan_persona(seed: u64, rate_per_s: f64, seconds: f64) -> Vec<Planned> {
     let due = arrival_schedule(seed, rate_per_s, seconds);
     let n = due.len();
-    match workload {
-        Workload::Chat => {
-            let mut rng = Rng::new(seed, 0xC4A7);
-            let prompts = stratified_lengths(&mut rng, n, CHAT_PROMPT);
-            let outputs = stratified_lengths(&mut rng, n, CHAT_OUTPUT);
-            (0..n)
-                .map(|i| Planned {
-                    id: i as u64,
-                    due_s: due[i],
-                    prompt: rng.tokens(prompts[i], VOCAB),
-                    max_new_tokens: outputs[i],
-                })
-                .collect()
-        }
-        Workload::Persona => {
-            let (system, personas) = persona_set(seed);
-            let mut rng = Rng::new(seed, 0x9E851);
-            // Every block of BLOCK (= PERSONAS) requests uses each persona
-            // once, in a seeded order.
-            let which: Vec<usize> = stratified_probabilities(&mut rng, n)
-                .into_iter()
-                .map(|p| (p * PERSONAS as f64) as usize)
-                .collect();
-            (0..n)
-                .map(|i| {
-                    let mut prompt = system.clone();
-                    prompt.extend_from_slice(&personas[which[i]]);
-                    prompt.extend(rng.tokens(PERSONA_QUERY, VOCAB));
-                    Planned {
-                        id: i as u64,
-                        due_s: due[i],
-                        prompt,
-                        max_new_tokens: PERSONA_OUTPUT,
-                    }
-                })
-                .collect()
-        }
-        Workload::Longdoc => panic!("longdoc is a closed loop"),
-    }
+    let (system, personas) = persona_set(seed);
+    let mut rng = Rng::new(seed, 0x9E851);
+    // Every block of BLOCK (= PERSONAS) requests uses each persona once, in a
+    // seeded order.
+    let which: Vec<usize> = stratified_probabilities(&mut rng, n)
+        .into_iter()
+        .map(|p| (p * PERSONAS as f64) as usize)
+        .collect();
+    (0..n)
+        .map(|i| {
+            let mut prompt = system.clone();
+            prompt.extend_from_slice(&personas[which[i]]);
+            prompt.extend(rng.tokens(PERSONA_QUERY, VOCAB));
+            Planned {
+                id: i as u64,
+                due_s: due[i],
+                prompt,
+                max_new_tokens: PERSONA_OUTPUT,
+            }
+        })
+        .collect()
 }

@@ -1,16 +1,16 @@
 //! Tests for the benchmark's own helpers: the tail percentile rule, seed
 //! determinism of the generated traffic, and span self-time arithmetic.
 
-use lserve_servebench::driver::{Outcome, RequestRecord};
+use lserve_servebench::check::sample;
+use lserve_servebench::driver::{another_cycle, Outcome, RequestRecord};
 use lserve_servebench::rng::Rng;
 use lserve_servebench::spans::{self_time_by_layer, self_times_ns, Span};
 use lserve_servebench::stats::{
     band_median, median, nearest_rank, percentile, tail_percentile, TAIL_MIN,
 };
 use lserve_servebench::workload::{
-    arrival_schedule, longdoc_request, persona_set, plan_open, stratified_probabilities, Planned,
-    Workload, WorkloadSpec, BLOCK, CHAT_OUTPUT, CHAT_PROMPT, LONGDOC_PROMPTS, PERSONA_QUERY,
-    PERSONA_SYSTEM, PERSONA_TOKENS,
+    arrival_schedule, longdoc_request, persona_set, plan_persona, stratified_probabilities,
+    Planned, WorkloadSpec, BLOCK, LONGDOC_PROMPTS, PERSONA_QUERY, PERSONA_SYSTEM, PERSONA_TOKENS,
 };
 
 fn ramp(n: usize) -> Vec<f64> {
@@ -124,8 +124,8 @@ fn record(i: usize) -> RequestRecord {
 #[test]
 fn open_loops_measure_all_but_the_warm_up_blocks() {
     let records: Vec<RequestRecord> = (0..9 * BLOCK).map(record).collect();
-    let chat = WorkloadSpec::parse("chat").unwrap();
-    let measured = chat.measured(&records);
+    let persona = WorkloadSpec::parse("persona").unwrap();
+    let measured = persona.measured(&records);
     // A quarter of 9 blocks rounds to 2 warm-up blocks.
     assert_eq!(measured.len(), 7 * BLOCK);
     assert_eq!(measured[0].planned.id, 2 * BLOCK as u64);
@@ -134,14 +134,7 @@ fn open_loops_measure_all_but_the_warm_up_blocks() {
 }
 
 #[test]
-fn open_plans_are_deterministic_and_stratified_in_blocks() {
-    let a = plan_open(Workload::Chat, 3, 3.6, 20.0);
-    assert_eq!(a, plan_open(Workload::Chat, 3, 3.6, 20.0));
-    assert_ne!(a, plan_open(Workload::Chat, 4, 3.6, 20.0));
-    for r in &a {
-        assert!((CHAT_PROMPT.0..=CHAT_PROMPT.1).contains(&r.prompt.len()));
-        assert!((CHAT_OUTPUT.0..=CHAT_OUTPUT.1).contains(&r.max_new_tokens));
-    }
+fn stratified_probabilities_cover_every_stratum_once_per_block() {
     // Every complete block draws once from each stratum; a trailing partial
     // block from distinct strata.
     let mut rng = Rng::new(1, 2);
@@ -158,8 +151,9 @@ fn open_plans_are_deterministic_and_stratified_in_blocks() {
 
 #[test]
 fn persona_prompts_share_the_system_prompt_and_one_of_the_personas() {
-    let plan = plan_open(Workload::Persona, 5, 1.6, 20.0);
-    assert_eq!(plan, plan_open(Workload::Persona, 5, 1.6, 20.0));
+    let plan = plan_persona(5, 1.6, 20.0);
+    assert_eq!(plan, plan_persona(5, 1.6, 20.0));
+    assert_ne!(plan, plan_persona(6, 1.6, 20.0));
     let (system, personas) = persona_set(5);
     assert_eq!(persona_set(5), (system.clone(), personas.clone()));
     for r in &plan {
@@ -192,6 +186,25 @@ fn longdoc_requests_cycle_through_the_contexts_deterministically() {
         assert_eq!(r.prompt.len(), LONGDOC_PROMPTS[i % 3]);
     }
     assert_ne!(longdoc_request(9, 0).prompt, longdoc_request(10, 0).prompt);
+}
+
+#[test]
+fn longdoc_checks_one_request_of_each_context() {
+    let spec = WorkloadSpec::parse("longdoc").unwrap();
+    let checked = sample(9, spec.check_every, spec.check_max);
+    let mut lens: Vec<usize> = checked.iter().map(|&i| LONGDOC_PROMPTS[i % 3]).collect();
+    lens.sort_unstable();
+    assert_eq!(lens, LONGDOC_PROMPTS);
+}
+
+#[test]
+fn the_closed_loop_ends_at_the_cycle_boundary_nearest_the_window() {
+    // 20 s cycles in a 40 s window: a third cycle would end at 60 s, 20 s
+    // past the window; stopping at 38 s misses it by only 2 s.
+    assert!(another_cycle(19.0, 19.0, 40.0));
+    assert!(!another_cycle(38.0, 19.0, 40.0));
+    // A fast host (13 s cycles) runs a third cycle, ending near 39 s.
+    assert!(another_cycle(26.0, 13.0, 40.0));
 }
 
 fn span(start_ns: u64, end_ns: u64, parent: Option<usize>, layer: &'static str) -> Span {
