@@ -30,7 +30,7 @@ use lserve_costmodel::Topology;
 use lserve_kvcache::{
     HeadCache, LayerKvCache, MigrationMode, PagePool, StreamingWindow, HOST_TRANSFER_SPEEDUP,
 };
-use lserve_model::forward::{ffn_block, logits, post_attention, pre_attention};
+use lserve_model::forward::{ffn_block, logits, post_attention, pre_attention, LayerActivations};
 use lserve_model::ModelWeights;
 use lserve_selector::{FlatSelector, HierarchicalSelector, PageSelector, ReusableSelector};
 use lserve_tensor::rope::RopeTable;
@@ -179,9 +179,18 @@ impl SequenceState {
     /// layers and heads (the reservation a scheduler must check before a decode
     /// step to guarantee the step cannot fail mid-layer).
     pub fn pages_needed_for_next_token(&self, pool: &PagePool) -> usize {
+        self.pages_needed_for_next_tokens(pool, 1)
+    }
+
+    /// Page demand of feeding the next `n` tokens: the sum over layers and
+    /// heads of each head's exact peak demand
+    /// ([`LayerKvCache::pages_needed_for_next_tokens`]). Reserving it
+    /// guarantees an `n`-token feed cannot run out of pages mid-cell, in
+    /// whatever order the executor walks layers and tokens.
+    pub fn pages_needed_for_next_tokens(&self, pool: &PagePool, n: usize) -> usize {
         self.layers
             .iter()
-            .map(|l| l.pages_needed_for_next_token(pool))
+            .map(|l| l.pages_needed_for_next_tokens(pool, n))
             .sum()
     }
 
@@ -600,7 +609,8 @@ impl ModelExecutor {
         })
     }
 
-    /// Runs dynamic page selection for every dense head of layer `l` (§3.5),
+    /// Runs dynamic page selection for every dense head of layer `l` (§3.5)
+    /// for the token at absolute position `pos` and decode-step index `step`,
     /// returning the per-KV-head selections plus the selector's sparsity-aware
     /// cost hints (estimated visited tokens per selected head) that feed the
     /// parallel shard balancer.
@@ -610,6 +620,8 @@ impl ModelExecutor {
         pool: &PagePool,
         l: usize,
         q_row: &[f32],
+        pos: usize,
+        step: usize,
     ) -> LayerSelections {
         let model = &self.weights.config;
         let d = model.head_dim;
@@ -621,7 +633,7 @@ impl ModelExecutor {
         // budget from a given position onward — the per-branch sparsity dial.
         let effective = state
             .sparsity
-            .effective_budget(self.cfg.dynamic_budget, state.tokens_processed);
+            .effective_budget(self.cfg.dynamic_budget, pos);
         if let Some(budget) = effective {
             for kv in 0..model.num_kv_heads {
                 let Some(selector) = state.selectors[l][kv].as_mut() else {
@@ -642,7 +654,7 @@ impl ModelExecutor {
                         &q_row[h * d..(h + 1) * d]
                     })
                     .collect();
-                let sel = selector.select(pool, cache, &queries, budget, state.decode_step_idx);
+                let sel = selector.select(pool, cache, &queries, budget, step);
                 state.stats.selector_logical_scored += sel.logical_pages_scored;
                 if sel.reused {
                     state.stats.selector_reuses += 1;
@@ -798,8 +810,8 @@ impl ModelExecutor {
     const PREFETCH_RECENCY_WINDOW: u64 = 2;
 
     /// Cap on speculative transfers a single sequence may have issued per
-    /// step across **all** layers and heads. The per-head cap alone lets a
-    /// deep model multiply guesses by layers × heads; the per-sequence
+    /// fed token across **all** layers and heads. The per-head cap alone lets
+    /// a deep model multiply guesses by layers × heads; the per-sequence
     /// budget keeps one sequence's speculation from starving demand traffic.
     const PREFETCH_PER_SEQ: usize = 4;
 
@@ -812,16 +824,18 @@ impl ModelExecutor {
     /// overlapped bandwidth. Wrong guesses cost only spare link bandwidth and
     /// a genuinely free hot slot ([`PagePool::prefetch`] never evicts), and
     /// are tallied as `prefetch_wasted` in [`lserve_kvcache::MigrationStats`].
-    /// `budget` is the sequence's remaining step-wide allowance
-    /// ([`Self::PREFETCH_PER_SEQ`]), decremented across layers.
+    /// `step` is the decode-step index of the token being fed; `budget` is
+    /// that token's remaining allowance ([`Self::PREFETCH_PER_SEQ`]),
+    /// decremented across layers.
     fn issue_prefetches(
         &self,
         state: &mut SequenceState,
         pool: &mut PagePool,
         l: usize,
+        step: usize,
         budget: &mut usize,
     ) {
-        let next_step = state.decode_step_idx + 1;
+        let next_step = step + 1;
         for kv in 0..state.selectors[l].len() {
             if *budget == 0 {
                 return;
@@ -906,28 +920,10 @@ impl ModelExecutor {
 
     /// [`ModelExecutor::decode_batch`] with an explicit worker-thread count.
     ///
-    /// Every layer runs in three phases:
-    ///
-    /// 1. **Serial writeback** (per sequence, in batch order): QKV + RoPE, KV
-    ///    append into the paged cache (the only pool mutation), and dynamic
-    ///    page selection. Allocation order is identical to the serial path.
-    /// 2. **Parallel attention**: one shard per *(sequence × KV-head)*, each
-    ///    costed by the sparsity-aware estimate (streaming ≈ resident window,
-    ///    selected dense ≈ the selector's page set, unselected dense ≈ full
-    ///    history), LPT-assigned across up to `threads` scoped workers with
-    ///    work-stealing for stragglers. Every shard writes only its own
-    ///    preallocated output slice — no locks on the hot path.
-    /// 3. **Serial reduction** (per sequence, in batch order): output
-    ///    projection and FFN.
-    ///
-    /// Shards read only shared immutable state and own disjoint outputs, and
-    /// both serial phases run in fixed batch order, so the result is
-    /// **bit-identical for every thread count** — the property
-    /// `tests/proptest_scheduler.rs` and the golden suite pin down.
-    ///
     /// `exec_stats` accumulates one [`ParallelExecStats`] phase per layer:
     /// measured worker busy time (utilization/imbalance) plus the
-    /// deterministic cost-model critical path (modeled speedup).
+    /// deterministic cost-model critical path (modeled speedup). See
+    /// [`ModelExecutor::decode_batch_sharded`] for the phase structure.
     ///
     /// # Panics
     ///
@@ -950,271 +946,313 @@ impl ModelExecutor {
             model.num_layers,
             model.num_kv_heads,
         );
-        self.decode_batch_sharded(pool, batch, threads, &mut plan, exec_stats)
+        let mut rows: Vec<(&mut SequenceState, &[u32])> = batch
+            .iter_mut()
+            .map(|(state, token)| (&mut **state, std::slice::from_ref(&*token)))
+            .collect();
+        self.decode_batch_sharded(pool, &mut rows, threads, &mut plan, exec_stats)
     }
 
-    /// [`ModelExecutor::decode_batch_threads`] against an explicit, caller-owned
-    /// [`ShardingPlan`]: parallel attention executes placed — each shard runs on
-    /// its KV head's simulated device (per-device LPT worker queues,
-    /// device-local stealing), a sequence's shards on non-home devices charge
-    /// the topology's modeled interconnect gather cost into `exec_stats` and
-    /// the trace, and the plan accumulates the per-head cost signal its
-    /// rebalancer acts on.
+    /// The executor's one token-absorbing entry point: every row is a
+    /// sequence plus the tokens it absorbs in this call — one token for a
+    /// decode step, up to a prefill-grid cell for a prompt feed — and each
+    /// row's result carries the logits after its **last** token.
     ///
-    /// With a single-device plan this is exactly the anonymous-pool path.
-    /// Outputs are bit-identical for every topology, placement policy, and
-    /// thread count — devices are simulated, so placement moves modeled cost,
-    /// never arithmetic.
+    /// Parallel attention executes against an explicit, caller-owned
+    /// [`ShardingPlan`]: each shard runs on its KV head's simulated device
+    /// (per-device LPT worker queues, device-local stealing), a sequence's
+    /// shards on non-home devices charge the topology's modeled interconnect
+    /// gather cost into `exec_stats` and the trace, and the plan accumulates
+    /// the per-head cost signal its rebalancer acts on. With a single-device
+    /// plan this is exactly the anonymous-pool path.
+    ///
+    /// **Layers run in the outer loop.** Per layer:
+    ///
+    /// 1. **QKV + RoPE**: one `pre_attention` GEMM over all of a row's tokens.
+    /// 2. **Per token, in order** (token `w` of every row that has one):
+    ///    serial KV append into the paged cache (the only pool mutation),
+    ///    dynamic page selection at that token's position and decode-step
+    ///    index, and the residency pass; then one parallel attention phase —
+    ///    one shard per *(sequence × KV-head)*, costed by the sparsity-aware
+    ///    estimate and LPT-assigned across up to `threads` scoped workers with
+    ///    work stealing, each writing only its own preallocated output slice.
+    /// 3. **Output projection + FFN**: one `post_attention` + `ffn_block` GEMM
+    ///    over all of a row's tokens.
+    ///
+    /// Only each row's last token goes through the LM head.
+    ///
+    /// Feeding a row's tokens in one call is **bit-identical** to feeding
+    /// them one call at a time, for three reasons: [`Matrix::matmul`] computes
+    /// every output row independently in ascending `k`, so a block of rows
+    /// multiplies to the bits of its rows one by one; within a layer each
+    /// token still sees append → select → attend in the same order, against
+    /// exactly the KV of the tokens before it; and layers share no state
+    /// except the pool. The pool is the one place the reorder could show — the
+    /// copy engine's clock advances per fed token — so multi-token rows run
+    /// layer-outer only when [`ModelExecutor::feeds_layer_outer`] says the
+    /// walk can neither issue a transfer nor force one in flight to land;
+    /// otherwise the call feeds them token by token, one layer-outer pass per
+    /// token.
+    ///
+    /// Shards read only shared immutable state and own disjoint outputs, and
+    /// the serial phases run in fixed row order, so the result is also
+    /// **bit-identical for every thread count, topology and placement
+    /// policy** — the property `tests/proptest_scheduler.rs` and the golden
+    /// suite pin down.
+    ///
+    /// Returns one result per row, in input order. A row that runs out of
+    /// pages mid-call gets `Err(OutOfPagesError)` and is left partially
+    /// written (release/replay it); the other rows are unaffected.
     ///
     /// # Panics
     ///
-    /// Panics if any sequence has no context yet (prefill first), or if the
-    /// plan's layer/head geometry disagrees with the model's.
+    /// Panics if any row has no context yet (prefill first) or no tokens, or
+    /// if the plan's layer/head geometry disagrees with the model's.
     pub fn decode_batch_sharded(
         &self,
         pool: &mut PagePool,
-        batch: &mut [(&mut SequenceState, u32)],
+        rows: &mut [(&mut SequenceState, &[u32])],
         threads: usize,
         plan: &mut ShardingPlan,
         exec_stats: &mut ParallelExecStats,
     ) -> Vec<Result<DecodeOutput, OutOfPagesError>> {
-        for (state, _) in batch.iter() {
+        for (state, tokens) in rows.iter() {
             assert!(state.tokens_processed > 0, "decode before prefill");
+            assert!(!tokens.is_empty(), "a row must absorb at least one token");
         }
+        let shape: Vec<(&SequenceState, usize)> =
+            rows.iter().map(|(s, t)| (&**s, t.len())).collect();
+        if self.feeds_layer_outer(pool, &shape) {
+            return self.forward_rows(pool, rows, threads, plan, exec_stats);
+        }
+        let longest = rows.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
+        let mut results: Vec<Option<Result<DecodeOutput, OutOfPagesError>>> =
+            vec![None; rows.len()];
+        for w in 0..longest {
+            let mut idx = Vec::with_capacity(rows.len());
+            let mut wave: Vec<(&mut SequenceState, &[u32])> = Vec::with_capacity(rows.len());
+            for (i, (state, tokens)) in rows.iter_mut().enumerate() {
+                let tokens: &[u32] = tokens;
+                if w < tokens.len() && !matches!(results[i], Some(Err(_))) {
+                    idx.push(i);
+                    wave.push((&mut **state, &tokens[w..w + 1]));
+                }
+            }
+            let outs = self.forward_rows(pool, &mut wave, threads, plan, exec_stats);
+            for (i, out) in idx.into_iter().zip(outs) {
+                results[i] = Some(out);
+            }
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every row absorbed its tokens"))
+            .collect()
+    }
+
+    /// Whether one [`ModelExecutor::decode_batch_sharded`] call walks the
+    /// given rows — each a sequence and the number of tokens it would absorb
+    /// — layer-outer, with bit-identical effects to feeding their tokens one
+    /// call at a time. When it does not, the call feeds multi-token rows token
+    /// by token instead.
+    ///
+    /// Single-token rows always qualify. Multi-token rows reorder pool
+    /// operations across layers and tokens, which only the copy engine could
+    /// observe: it drains per fed token, so a transfer must not be issued,
+    /// promoted, cancelled or force-completed mid-walk. Hence every row's
+    /// pages are hot (nothing to promote or prefetch, nothing of theirs in
+    /// flight), no selection-driven demotion can issue a transfer, and — when
+    /// other transfers are in flight — the genuinely free hot slots cover
+    /// every row's page demand, so no allocation has to force one to land.
+    /// The in-flight transfers then drain exactly as a per-token feed drains
+    /// them (one advance per token position at the end of the walk).
+    pub fn feeds_layer_outer(&self, pool: &PagePool, rows: &[(&SequenceState, usize)]) -> bool {
+        if rows.iter().all(|&(_, n)| n == 1) {
+            return true;
+        }
+        let all_hot = rows
+            .iter()
+            .all(|(s, _)| s.cold_pages(pool) == 0 && s.swap_in_demand(pool) == 0);
+        if self.cfg.demote_after_chunks.is_some() || !all_hot {
+            return false;
+        }
+        pool.in_flight_transfers() == 0
+            || rows
+                .iter()
+                .map(|&(s, n)| s.pages_needed_for_next_tokens(pool, n))
+                .sum::<usize>()
+                <= pool.capacity() - pool.in_use()
+    }
+
+    /// The layer-outer forward pass behind
+    /// [`ModelExecutor::decode_batch_sharded`]: absorbs every row's tokens and
+    /// returns the logits after each row's last token.
+    fn forward_rows(
+        &self,
+        pool: &mut PagePool,
+        rows: &mut [(&mut SequenceState, &[u32])],
+        threads: usize,
+        plan: &mut ShardingPlan,
+        exec_stats: &mut ParallelExecStats,
+    ) -> Vec<Result<DecodeOutput, OutOfPagesError>> {
         let model = &self.weights.config;
         let d = model.head_dim;
-        let group = model.gqa_group_size();
         let width = model.q_width();
-        let positions: Vec<usize> = batch.iter().map(|(s, _)| s.tokens_processed).collect();
-        let mut xs: Vec<Option<Matrix>> = batch
+        let lens: Vec<usize> = rows.iter().map(|(_, t)| t.len()).collect();
+        let waves = lens.iter().copied().max().unwrap_or(0);
+        let positions: Vec<usize> = rows.iter().map(|(s, _)| s.tokens_processed).collect();
+        let steps: Vec<usize> = rows.iter().map(|(s, _)| s.decode_step_idx).collect();
+        let mut xs: Vec<Option<Matrix>> = rows
             .iter()
-            .map(|(_, token)| Some(self.weights.embed_tokens(&[*token])))
+            .map(|(_, tokens)| Some(self.weights.embed_tokens(tokens)))
             .collect();
         let tracer = pool.tracer().clone();
-        // Step-wide speculative-transfer allowance per sequence, spent by
-        // issue_prefetches across all layers (async migration only).
-        let mut prefetch_budget: Vec<usize> = vec![Self::PREFETCH_PER_SEQ; batch.len()];
+        // Speculative-transfer allowance per fed token (token position ×
+        // row), spent by issue_prefetches across all layers (async migration
+        // only).
+        let mut prefetch_budget = vec![vec![Self::PREFETCH_PER_SEQ; rows.len()]; waves];
         for (l, lw) in self.weights.layers.iter().enumerate() {
-            // Phase 1 (serial, batch order): QKV + RoPE, KV writeback, dynamic
-            // page selection. A failed append kills only that sequence.
-            let serial_start = tracer.now();
-            let mut qrows: Vec<Option<Vec<f32>>> = vec![None; batch.len()];
-            let mut selections: Vec<Vec<Option<Vec<usize>>>> = Vec::with_capacity(batch.len());
-            let mut cost_hints: Vec<Vec<Option<u64>>> = Vec::with_capacity(batch.len());
-            let mut fetch_units: Vec<Vec<u64>> = Vec::with_capacity(batch.len());
-            for (i, (state, _)) in batch.iter_mut().enumerate() {
-                let Some(x) = xs[i].as_ref() else {
-                    selections.push(Vec::new());
-                    cost_hints.push(Vec::new());
-                    fetch_units.push(Vec::new());
-                    continue;
-                };
-                let acts = pre_attention(model, lw, x, positions[i], &self.rope);
-                if !state.layers[l].append_token(pool, acts.k.row(0), acts.v.row(0), d) {
-                    xs[i] = None;
-                    selections.push(Vec::new());
-                    cost_hints.push(Vec::new());
-                    fetch_units.push(Vec::new());
-                    continue;
-                }
-                let q_row = acts.q.row(0).to_vec();
-                let (sel, hint, fresh) = self.select_pages(state, pool, l, &q_row);
-                if tracer.is_enabled() {
-                    for (kv, &f) in fresh.iter().enumerate() {
-                        if f {
-                            tracer.instant(
-                                "rescore",
-                                "selector",
-                                lane::SELECTOR,
-                                i as u64,
-                                &[("layer", l as u64), ("head", kv as u64)],
-                            );
-                        }
-                    }
-                }
-                // Residency pass: demote selector-stale pages, promote any
-                // cold page the selection wants, before the kernels read.
-                match self.apply_residency(state, pool, l, &sel, &fresh) {
-                    Ok(fetch) => fetch_units.push(fetch),
-                    Err(_) => {
-                        // A required promotion did not fit the hot tier; the
-                        // sequence fails this step like any other OOM and the
-                        // serving layer replays it.
-                        xs[i] = None;
-                        selections.push(Vec::new());
-                        cost_hints.push(Vec::new());
-                        fetch_units.push(Vec::new());
-                        continue;
-                    }
-                }
-                selections.push(sel);
-                cost_hints.push(hint);
-                qrows[i] = Some(q_row);
-                // Overlap window: promotions issued above ride the rest of
-                // this step's compute; prefetches below start a step early.
-                if pool.migration_mode() == MigrationMode::Async {
-                    self.issue_prefetches(state, pool, l, &mut prefetch_budget[i]);
-                }
-            }
-            // The serial phase costs one clock tick per live batch token.
-            tracer.advance(qrows.iter().filter(|q| q.is_some()).count() as u64);
-            tracer.span(
-                "decode.serial",
-                "executor",
-                lane::EXECUTOR,
-                CONTROL_TID,
-                serial_start,
-                &[("layer", l as u64)],
-            );
-            let par_start = tracer.now();
-            // Phase 2 (parallel): sharded attention into preallocated,
-            // disjoint per-(sequence × KV-head) output slices.
-            let mut outs: Vec<Vec<f32>> = qrows
+            // QKV + RoPE over every live row's tokens at once.
+            let acts: Vec<Option<LayerActivations>> = xs
                 .iter()
-                .map(|q| {
-                    if q.is_some() {
-                        vec![0.0f32; width]
-                    } else {
-                        Vec::new()
-                    }
+                .zip(&positions)
+                .map(|(x, &pos)| {
+                    x.as_ref()
+                        .map(|x| pre_attention(model, lw, x, pos, &self.rope))
                 })
                 .collect();
-            let shard_stats: Vec<(usize, DecodeStats, DecodeStats)> = {
-                let pool_ref: &PagePool = pool;
-                let scale = self.attn_cfg.scale();
-                let mut shards: Vec<DecodeShard<'_>> = Vec::new();
-                let mut shard_seq: Vec<usize> = Vec::new();
-                let mut shard_kv: Vec<usize> = Vec::new();
-                let mut costs: Vec<u64> = Vec::new();
-                for (i, ((state, _), out)) in batch.iter().zip(outs.iter_mut()).enumerate() {
-                    let Some(q) = qrows[i].as_ref() else { continue };
-                    let cache = &state.layers[l];
-                    for (kv, out_chunk) in out.chunks_mut(group * d).enumerate() {
-                        let selection = selections[i][kv].as_deref();
-                        costs.push(decode_shard_cost(
-                            pool_ref,
-                            cache.head(kv),
-                            selection,
-                            cost_hints[i][kv],
-                            fetch_units[i][kv],
-                            group,
-                        ));
-                        shard_seq.push(i);
-                        shard_kv.push(kv);
-                        shards.push(DecodeShard {
-                            head: cache.head(kv),
-                            queries: &q[kv * group * d..(kv + 1) * group * d],
-                            selection,
-                            head_dim: d,
-                            scale,
-                            out: out_chunk,
-                            dense: DecodeStats::default(),
-                            streaming: DecodeStats::default(),
-                        });
+            let mut attn: Vec<Option<Matrix>> = xs
+                .iter()
+                .zip(&lens)
+                .map(|(x, &n)| x.as_ref().map(|_| Matrix::zeros(n, width)))
+                .collect();
+            for (w, budgets) in prefetch_budget.iter_mut().enumerate() {
+                // Phase 1 (serial, row order): KV writeback, dynamic page
+                // selection, residency. A failed append kills only that row.
+                let serial_start = tracer.now();
+                let mut live = vec![false; rows.len()];
+                let mut selections: Vec<Vec<Option<Vec<usize>>>> = vec![Vec::new(); rows.len()];
+                let mut cost_hints: Vec<Vec<Option<u64>>> = vec![Vec::new(); rows.len()];
+                let mut fetch_units: Vec<Vec<u64>> = vec![Vec::new(); rows.len()];
+                for (i, (state, _)) in rows.iter_mut().enumerate() {
+                    let Some(a) = acts[i].as_ref().filter(|_| w < lens[i] && xs[i].is_some())
+                    else {
+                        continue;
+                    };
+                    if !state.layers[l].append_token(pool, a.k.row(w), a.v.row(w), d) {
+                        xs[i] = None;
+                        continue;
                     }
-                }
-                let devices = plan.devices();
-                if devices <= 1 {
-                    let balance = run_sharded(threads, &costs, &mut shards, |shard| {
-                        run_decode_shard(pool_ref, shard)
-                    });
-                    exec_stats.absorb(&balance);
-                    trace_attention_phase(&tracer, par_start, l, &balance, &costs, &shard_seq);
-                } else {
-                    // Per-head cost signal for this phase: the placement (and
-                    // later the rebalancer) act on exactly what the worker-level
-                    // LPT balances.
-                    let mut head_costs = vec![0u64; model.num_kv_heads];
-                    for (s, &kv) in shard_kv.iter().enumerate() {
-                        head_costs[kv] += costs[s];
-                    }
-                    let assign = plan.layer_assignment(l, &head_costs).to_vec();
-                    // A sequence's home device is where the plurality of its
-                    // shard cost lives (ties to the lower device id): its other
-                    // shards' outputs must cross the mesh before the serial
-                    // output projection, and each such gather charges the
-                    // topology's modeled interconnect cost — onto the shard
-                    // (the gather delays it) and into the interconnect ledger.
-                    let mut seq_dev_cost = vec![vec![0u64; devices]; batch.len()];
-                    for s in 0..costs.len() {
-                        seq_dev_cost[shard_seq[s]][assign[shard_kv[s]]] += costs[s];
-                    }
-                    let home: Vec<usize> = seq_dev_cost
-                        .iter()
-                        .map(|loads| {
-                            (0..devices)
-                                .max_by_key(|&dev| (loads[dev], std::cmp::Reverse(dev)))
-                                .expect("devices > 0")
-                        })
-                        .collect();
-                    let gather = plan.topology().gather_cost_tokens();
-                    let mut device_of = vec![0usize; costs.len()];
-                    let mut placed_costs = costs.clone();
-                    let mut gather_tokens = 0u64;
-                    for s in 0..costs.len() {
-                        let dev = assign[shard_kv[s]];
-                        device_of[s] = dev;
-                        if dev != home[shard_seq[s]] {
-                            placed_costs[s] += gather;
-                            gather_tokens += gather;
+                    let (sel, hint, fresh) = self.select_pages(
+                        state,
+                        pool,
+                        l,
+                        a.q.row(w),
+                        positions[i] + w,
+                        steps[i] + w,
+                    );
+                    if tracer.is_enabled() {
+                        for (kv, &f) in fresh.iter().enumerate() {
+                            if f {
+                                tracer.instant(
+                                    "rescore",
+                                    "selector",
+                                    lane::SELECTOR,
+                                    i as u64,
+                                    &[("layer", l as u64), ("head", kv as u64)],
+                                );
+                            }
                         }
                     }
-                    let placed = run_placed(
-                        threads,
-                        devices,
-                        &device_of,
-                        &placed_costs,
-                        &mut shards,
-                        |shard| run_decode_shard(pool_ref, shard),
-                    );
-                    exec_stats.absorb_placed(&placed, gather_tokens);
-                    trace_attention_phase_placed(
-                        &tracer,
-                        par_start,
-                        l,
-                        &placed,
-                        &placed_costs,
-                        &shard_seq,
-                        &device_of,
-                        exec_stats.interconnect_tokens,
-                    );
+                    // Residency pass: demote selector-stale pages, promote any
+                    // cold page the selection wants, before the kernels read.
+                    match self.apply_residency(state, pool, l, &sel, &fresh) {
+                        Ok(fetch) => fetch_units[i] = fetch,
+                        Err(_) => {
+                            // A required promotion did not fit the hot tier;
+                            // the row fails like any other OOM and the serving
+                            // layer replays it.
+                            xs[i] = None;
+                            continue;
+                        }
+                    }
+                    selections[i] = sel;
+                    cost_hints[i] = hint;
+                    live[i] = true;
+                    // Overlap window: promotions issued above ride the rest of
+                    // this token's compute; prefetches below start a token
+                    // early.
+                    if pool.migration_mode() == MigrationMode::Async {
+                        self.issue_prefetches(state, pool, l, steps[i] + w, &mut budgets[i]);
+                    }
                 }
-                shard_seq
-                    .iter()
-                    .zip(shards.iter())
-                    .map(|(&i, s)| (i, s.dense, s.streaming))
-                    .collect()
-            };
-            // Work counters attributed per sequence in shard-construction
-            // order, so stats stay deterministic too.
-            for (i, dense, streaming) in shard_stats {
-                batch[i].0.stats.add_decode(dense, streaming);
+                // The serial phase costs one clock tick per live token.
+                tracer.advance(live.iter().filter(|&&v| v).count() as u64);
+                tracer.span(
+                    "decode.serial",
+                    "executor",
+                    lane::EXECUTOR,
+                    CONTROL_TID,
+                    serial_start,
+                    &[("layer", l as u64)],
+                );
+                // Phase 2 (parallel): sharded attention for token `w` into
+                // preallocated, disjoint per-(sequence × KV-head) slices.
+                let par_start = tracer.now();
+                let shard_stats = self.attention_phase(
+                    pool,
+                    rows,
+                    &AttentionWave {
+                        layer: l,
+                        token: w,
+                        live: &live,
+                        acts: &acts,
+                        selections: &selections,
+                        cost_hints: &cost_hints,
+                        fetch_units: &fetch_units,
+                    },
+                    &mut attn,
+                    threads,
+                    plan,
+                    exec_stats,
+                    par_start,
+                );
+                // Work counters attributed per row in shard-construction
+                // order, so stats stay deterministic too.
+                for (i, dense, streaming) in shard_stats {
+                    rows[i].0.stats.add_decode(dense, streaming);
+                }
             }
-            // Phase 3 (serial, batch order): output projection + FFN.
-            for i in 0..batch.len() {
-                if qrows[i].is_none() {
+            // Phase 3 (serial, row order): output projection + FFN over every
+            // live row's tokens at once.
+            for i in 0..rows.len() {
+                let (Some(x), Some(attn_m)) = (xs[i].take(), attn[i].take()) else {
                     continue;
-                }
-                let x = xs[i].take().expect("live sequence has activations");
-                let attn_m = Matrix::from_vec(1, width, std::mem::take(&mut outs[i]));
+                };
                 let x = post_attention(lw, &x, &attn_m);
                 xs[i] = Some(ffn_block(lw, &x));
             }
         }
-        // One decode step of compute hides one step of host-link bandwidth:
-        // each batched token buys `HOST_TRANSFER_SPEEDUP` token-units of
-        // transfer drain, the exact inverse of `transfer_cost_tokens`. A
-        // transfer fully drained by these advances cost the step nothing —
-        // that is the overlap the async engine models. (No-op in sync mode.)
-        pool.advance_transfer_units(batch.len() as u64 * HOST_TRANSFER_SPEEDUP);
+        // One fed token of compute hides one token of host-link bandwidth:
+        // each token buys `HOST_TRANSFER_SPEEDUP` token-units of transfer
+        // drain, the exact inverse of `transfer_cost_tokens`. A transfer fully
+        // drained by these advances cost the step nothing — that is the
+        // overlap the async engine models. (No-op in sync mode.) One advance
+        // per token position, as a token-at-a-time feed would issue them, so
+        // transfers land in the same order.
+        for w in 0..waves {
+            let rows_at_w = lens.iter().filter(|&&n| n > w).count();
+            pool.advance_transfer_units(rows_at_w as u64 * HOST_TRANSFER_SPEEDUP);
+        }
         xs.into_iter()
-            .zip(batch.iter_mut())
-            .map(|(x, (state, _))| match x {
+            .zip(rows.iter_mut())
+            .zip(lens)
+            .map(|((x, (state, _)), n)| match x {
                 Some(x) => {
-                    state.tokens_processed += 1;
-                    state.decode_step_idx += 1;
-                    state.stats.decode_steps += 1;
-                    let out = logits(&self.weights, &x);
+                    state.tokens_processed += n;
+                    state.decode_step_idx += n;
+                    state.stats.decode_steps += n as u64;
+                    let last = if n == 1 { x } else { x.slice_rows(n - 1, n) };
+                    let out = logits(&self.weights, &last);
                     Ok(DecodeOutput {
                         logits: out.row(0).to_vec(),
                     })
@@ -1223,6 +1261,159 @@ impl ModelExecutor {
             })
             .collect()
     }
+
+    /// One token's parallel attention phase of [`ModelExecutor::forward_rows`]:
+    /// builds a shard per *(live row × KV-head)* reading that row's query
+    /// for token `wave.token` and writing its slice of `attn`, runs them
+    /// sharded (one device) or placed (several), and traces the phase.
+    /// Returns each shard's `(row, dense, streaming)` work counters in
+    /// shard-construction order.
+    #[allow(clippy::too_many_arguments)]
+    fn attention_phase(
+        &self,
+        pool: &PagePool,
+        rows: &[(&mut SequenceState, &[u32])],
+        wave: &AttentionWave<'_>,
+        attn: &mut [Option<Matrix>],
+        threads: usize,
+        plan: &mut ShardingPlan,
+        exec_stats: &mut ParallelExecStats,
+        par_start: u64,
+    ) -> Vec<(usize, DecodeStats, DecodeStats)> {
+        let model = &self.weights.config;
+        let d = model.head_dim;
+        let group = model.gqa_group_size();
+        let l = wave.layer;
+        let tracer = pool.tracer();
+        let scale = self.attn_cfg.scale();
+        let mut shards: Vec<DecodeShard<'_>> = Vec::new();
+        let mut shard_seq: Vec<usize> = Vec::new();
+        let mut shard_kv: Vec<usize> = Vec::new();
+        let mut costs: Vec<u64> = Vec::new();
+        for (i, ((state, _), out)) in rows.iter().zip(attn.iter_mut()).enumerate() {
+            if !wave.live[i] {
+                continue;
+            }
+            let q = wave.acts[i]
+                .as_ref()
+                .expect("live row has activations")
+                .q
+                .row(wave.token);
+            let out = out
+                .as_mut()
+                .expect("live row has an output")
+                .row_mut(wave.token);
+            let cache = &state.layers[l];
+            for (kv, out_chunk) in out.chunks_mut(group * d).enumerate() {
+                let selection = wave.selections[i][kv].as_deref();
+                costs.push(decode_shard_cost(
+                    pool,
+                    cache.head(kv),
+                    selection,
+                    wave.cost_hints[i][kv],
+                    wave.fetch_units[i][kv],
+                    group,
+                ));
+                shard_seq.push(i);
+                shard_kv.push(kv);
+                shards.push(DecodeShard {
+                    head: cache.head(kv),
+                    queries: &q[kv * group * d..(kv + 1) * group * d],
+                    selection,
+                    head_dim: d,
+                    scale,
+                    out: out_chunk,
+                    dense: DecodeStats::default(),
+                    streaming: DecodeStats::default(),
+                });
+            }
+        }
+        let devices = plan.devices();
+        if devices <= 1 {
+            let balance = run_sharded(threads, &costs, &mut shards, |shard| {
+                run_decode_shard(pool, shard)
+            });
+            exec_stats.absorb(&balance);
+            trace_attention_phase(tracer, par_start, l, &balance, &costs, &shard_seq);
+        } else {
+            // Per-head cost signal for this phase: the placement (and later
+            // the rebalancer) act on exactly what the worker-level LPT
+            // balances.
+            let mut head_costs = vec![0u64; model.num_kv_heads];
+            for (s, &kv) in shard_kv.iter().enumerate() {
+                head_costs[kv] += costs[s];
+            }
+            let assign = plan.layer_assignment(l, &head_costs).to_vec();
+            // A sequence's home device is where the plurality of its shard
+            // cost lives (ties to the lower device id): its other shards'
+            // outputs must cross the mesh before the serial output
+            // projection, and each such gather charges the topology's modeled
+            // interconnect cost — onto the shard (the gather delays it) and
+            // into the interconnect ledger.
+            let mut seq_dev_cost = vec![vec![0u64; devices]; rows.len()];
+            for s in 0..costs.len() {
+                seq_dev_cost[shard_seq[s]][assign[shard_kv[s]]] += costs[s];
+            }
+            let home: Vec<usize> = seq_dev_cost
+                .iter()
+                .map(|loads| {
+                    (0..devices)
+                        .max_by_key(|&dev| (loads[dev], std::cmp::Reverse(dev)))
+                        .expect("devices > 0")
+                })
+                .collect();
+            let gather = plan.topology().gather_cost_tokens();
+            let mut device_of = vec![0usize; costs.len()];
+            let mut placed_costs = costs.clone();
+            let mut gather_tokens = 0u64;
+            for s in 0..costs.len() {
+                let dev = assign[shard_kv[s]];
+                device_of[s] = dev;
+                if dev != home[shard_seq[s]] {
+                    placed_costs[s] += gather;
+                    gather_tokens += gather;
+                }
+            }
+            let placed = run_placed(
+                threads,
+                devices,
+                &device_of,
+                &placed_costs,
+                &mut shards,
+                |shard| run_decode_shard(pool, shard),
+            );
+            exec_stats.absorb_placed(&placed, gather_tokens);
+            trace_attention_phase_placed(
+                tracer,
+                par_start,
+                l,
+                &placed,
+                &placed_costs,
+                &shard_seq,
+                &device_of,
+                exec_stats.interconnect_tokens,
+            );
+        }
+        shard_seq
+            .iter()
+            .zip(shards.iter())
+            .map(|(&i, s)| (i, s.dense, s.streaming))
+            .collect()
+    }
+}
+
+/// The per-token inputs of one attention phase of
+/// [`ModelExecutor::forward_rows`]: which rows are live for token `token`
+/// of layer `layer`, their activations, and the serial phase's per-row
+/// selections, selector cost hints and residency fetch units.
+struct AttentionWave<'a> {
+    layer: usize,
+    token: usize,
+    live: &'a [bool],
+    acts: &'a [Option<LayerActivations>],
+    selections: &'a [Vec<Option<Vec<usize>>>],
+    cost_hints: &'a [Vec<Option<u64>>],
+    fetch_units: &'a [Vec<u64>],
 }
 
 /// One layer's per-KV-head selection results: the selected page sets, the
@@ -1622,6 +1813,57 @@ mod tests {
             );
             next = greedy_next_token(&out.logits);
         }
+    }
+
+    /// A multi-token feed walked layer-outer allocates within the demand
+    /// `pages_needed_for_next_tokens` reserves for it: every cell succeeds in
+    /// a pool whose free pages were pinned at exactly that demand.
+    #[test]
+    fn cell_feed_fits_its_exact_reservation() {
+        let mut cfg = EngineConfig::lserve_fp16();
+        cfg.paging = lserve_kvcache::PagingConfig::new(8, 4, lserve_quant::KvPrecision::Fp16);
+        cfg.prefill_tile = 8;
+        let w = tiny_weights();
+        let m = &w.config;
+        let exec = ModelExecutor::new(Arc::clone(&w), cfg.clone());
+        let mut pool = cfg.make_pool_for(m, 512);
+        let mut s = exec.new_sequence();
+        exec.prefill(&mut s, &mut pool, &[1, 2, 3, 4, 5]).unwrap();
+        let mut plan = ShardingPlan::new(
+            Topology::single(),
+            lserve_costmodel::PlacementPolicy::SparsityAware,
+            m.num_layers,
+            m.num_kv_heads,
+        );
+        let mut stats = ParallelExecStats::default();
+        for n in [1usize, 7, 20, 3, 33] {
+            let need = s.pages_needed_for_next_tokens(&pool, n);
+            assert!(exec.feeds_layer_outer(&pool, &[(&s, n)]));
+            let mut filler = Vec::new();
+            while pool.free_pages() > need {
+                filler.push(pool.allocate().expect("free page"));
+            }
+            let tokens: Vec<u32> = (0..n as u32).map(|t| (t * 13 + 1) % 90).collect();
+            let out = exec
+                .decode_batch_sharded(
+                    &mut pool,
+                    &mut [(&mut s, &tokens[..])],
+                    1,
+                    &mut plan,
+                    &mut stats,
+                )
+                .pop()
+                .unwrap();
+            assert!(
+                out.is_ok(),
+                "{n}-token cell overran its {need}-page reservation"
+            );
+            for id in filler {
+                pool.free(id);
+            }
+        }
+        s.release(&mut pool);
+        assert_eq!(pool.in_use(), 0);
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //!   state, position, stats). The executor runs block-sparse fused prefill (§3.4),
 //!   two-way paged KV writeback, and decode with hierarchical + reusable page
 //!   selection feeding the fused decode kernel (§3.5–3.6) — including
-//!   [`ModelExecutor::decode_batch`], the layer-outer batched decode step whose
-//!   attention phase shards across a sparsity-aware worker pool
-//!   ([`ModelExecutor::decode_batch_threads`], bit-identical at every thread
-//!   count).
+//!   [`ModelExecutor::decode_batch_sharded`], the layer-outer entry point that
+//!   absorbs one token per decode row or a whole prefill-grid cell per prompt
+//!   feed row (one GEMM per layer over the cell, bit-identical to one token per
+//!   call), with an attention phase sharded across a sparsity-aware worker pool
+//!   (bit-identical at every thread count).
 //! * [`engine`] — [`Engine`], the single-sequence convenience wrapper over one
 //!   executor + one sequence state.
 //! * [`serving`] — the continuous-batching [`Scheduler`] behind the

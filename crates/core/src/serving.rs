@@ -33,9 +33,16 @@
 //!   chunks interleaved with decode iterations, so one long prompt no longer
 //!   head-of-line-blocks the whole batch. The first
 //!   `min(chunk_tokens, prompt_len)` tokens go through the fused tile prefill;
-//!   the rest advance token-by-token through the decode path, which makes the
-//!   numerics independent of how the scheduler slices the remainder across
-//!   iterations.
+//!   the rest are fed through the decode path one prefill-grid cell per
+//!   executor call ([`ModelExecutor::decode_batch_sharded`] walks the cell
+//!   layer-outer: one QKV and one O-proj/FFN GEMM per layer over the whole
+//!   cell, append → select → attend per token, LM head on the last token
+//!   only). The result is bit-identical to feeding one token per call —
+//!   [`lserve_tensor::Matrix::matmul`] computes every output row
+//!   independently in ascending `k`, each token still sees append → select →
+//!   attend in order within a layer, and layers share no state but the pool —
+//!   so the numerics are independent of how the scheduler slices the
+//!   remainder across iterations and calls.
 //! * **Preemption and resume**: page demand is computed *exactly* before every
 //!   decode iteration ([`SequenceState::pages_needed_for_next_token`]); when
 //!   demand exceeds the free pool, a cost- and class-chosen victim releases (or
@@ -95,9 +102,14 @@ use crate::EngineConfig;
 
 /// The prefill tile grid: the fused tile-prefill path covers absolute token
 /// positions `[0, chunk_tokens)` — the first grid cell — and every position at or
-/// beyond the grid boundary is always fed through the per-token decode path, no
-/// matter how the scheduler slices iterations, whether the sequence is resuming
-/// from preemption, or how much of its prompt came from the prefix cache.
+/// beyond the grid boundary is always fed through the decode path, no matter
+/// how the scheduler slices iterations, whether the sequence is resuming from
+/// preemption, or how much of its prompt came from the prefix cache. The
+/// decode path absorbs up to one later grid cell per executor call, walking
+/// it layer-outer; that is bit-identical to one token per call (rows of a
+/// matmul are computed independently in ascending `k`, each token sees
+/// append → select → attend in order within a layer, and layers share no
+/// state but the pool), so every position's KV is that of a per-token feed.
 ///
 /// Because the boundary is a pure function of absolute token position (not of how
 /// much of this particular prompt remains), the KV written for any prompt prefix
@@ -853,7 +865,7 @@ pub struct ServingReport {
     /// (a preempted request that re-admits with a hit counts again, exactly as
     /// its recomputed tokens would).
     pub prefix_hit_tokens: u64,
-    /// Prompt tokens actually computed by prefill (tile chunk + per-token feed),
+    /// Prompt tokens actually computed by prefill (tile chunk + continuation feed),
     /// summed over admission events. Zero when the prefix cache is disabled.
     pub prefix_recomputed_tokens: u64,
     /// Prefixes donated into the cache (anchors, completed conversations, and
@@ -2416,16 +2428,32 @@ impl Scheduler {
                     }
                 }
             }
-            // Continuation: token-by-token through the decode path. Numerically
-            // independent of how many tokens any iteration feeds.
+            // Continuation: one prefill-grid cell per executor call, fed
+            // layer-outer through the decode path. Numerically independent of
+            // how the scheduler slices the feed (bit-identical to one token per
+            // call). A cell ends at the next grid boundary, at the end of the
+            // prompt, at the end of the feed, or where this step's budget runs
+            // out — so `maybe_donate` sees exactly the donation points a
+            // per-token feed would show it.
             let cont_start = self.scfg.tracer.now();
             let cont_id = self.running[i].core.spec.id;
             let mut cont_fed = 0u64;
             while budget > 0 && self.running[i].fed < self.running[i].feed_len() {
-                let need = self.running[i]
-                    .state
-                    .pages_needed_for_next_token(&self.pool);
-                if need > self.pool.free_pages() {
+                let fed_pos = self.running[i].fed;
+                let plen = self.running[i].core.prompt.len();
+                let chunk = self.scfg.chunk_tokens;
+                let mut end = (fed_pos / chunk + 1) * chunk;
+                end = end.min(self.running[i].feed_len()).min(fed_pos + budget);
+                if fed_pos < plen {
+                    end = end.min(plen);
+                }
+                // Reserve the cell's exact page demand. Under pressure feed
+                // the longest prefix of the cell that fits, and relieve the
+                // pool only when not even one token does — exactly where a
+                // per-token feed would, so eviction and preemption decisions
+                // do not depend on the cell size.
+                let mut n = self.cell_tokens_that_fit(i, end - fed_pos);
+                if n == 0 {
                     if self.evict_prefix_one() {
                         continue;
                     }
@@ -2439,28 +2467,35 @@ impl Scheduler {
                     }
                     break; // wait for a later iteration
                 }
-                let fed_pos = self.running[i].fed;
-                let t = self.running[i].feed_token(fed_pos);
-                let mut one = [(&mut self.running[i].state, t)];
+                // A cell the executor cannot walk layer-outer exactly (pages
+                // to promote, transfers it could issue or force) goes one
+                // token per call, re-checking pool pressure between tokens
+                // exactly as a per-token feed does.
+                if !exec.feeds_layer_outer(&self.pool, &[(&self.running[i].state, n)]) {
+                    n = 1;
+                }
+                let tokens: Vec<u32> = (fed_pos..fed_pos + n)
+                    .map(|t| self.running[i].feed_token(t))
+                    .collect();
                 let result = exec
                     .decode_batch_sharded(
                         &mut self.pool,
-                        &mut one,
+                        &mut [(&mut self.running[i].state, &tokens[..])],
                         self.scfg.decode_threads,
                         &mut self.plan,
                         &mut self.report.parallel,
                     )
                     .pop()
-                    .expect("one result per input sequence");
+                    .expect("one result per input row");
                 match result {
                     Ok(out) => {
-                        self.running[i].fed += 1;
-                        self.work_tokens += 1;
-                        cont_fed += 1;
-                        if self.scfg.prefix_cache && fed_pos < self.running[i].core.prompt.len() {
-                            self.report.prefix_recomputed_tokens += 1;
+                        self.running[i].fed += n;
+                        self.work_tokens += n as u64;
+                        cont_fed += n as u64;
+                        if self.scfg.prefix_cache && fed_pos < plen {
+                            self.report.prefix_recomputed_tokens += n as u64;
                         }
-                        budget -= 1;
+                        budget -= n;
                         self.maybe_donate(i);
                         if self.running[i].fed == self.running[i].feed_len() {
                             self.finish_feed(i, &out.logits, now);
@@ -2469,7 +2504,7 @@ impl Scheduler {
                     }
                     Err(_) => {
                         // Exact reservation should prevent this; self-preempt to
-                        // discard the partially-written token and replay later.
+                        // discard the partially-written cell and replay later.
                         // Always the replay path: the state is unclean and must
                         // not be parked for swap-resume.
                         self.preempt_index_replay(i);
@@ -2491,6 +2526,28 @@ impl Scheduler {
                 );
             }
         }
+    }
+
+    /// The longest prefix of running sequence `i`'s next `cell` feed tokens
+    /// whose exact page demand fits the free pool (0 when not even one token
+    /// fits). Demand is monotone in the feed length, so a binary search finds
+    /// it.
+    fn cell_tokens_that_fit(&self, i: usize, cell: usize) -> usize {
+        let state = &self.running[i].state;
+        let free = self.pool.free_pages();
+        if state.pages_needed_for_next_tokens(&self.pool, cell) <= free {
+            return cell;
+        }
+        let (mut fits, mut over) = (0, cell);
+        while over - fits > 1 {
+            let mid = (fits + over) / 2;
+            if state.pages_needed_for_next_tokens(&self.pool, mid) <= free {
+                fits = mid;
+            } else {
+                over = mid;
+            }
+        }
+        fits
     }
 
     /// Reserve pages for one decode token per ready sequence, preempting the
@@ -2549,11 +2606,11 @@ impl Scheduler {
         // Batched decode: one token for every sequence whose feed is complete.
         let exec = Arc::clone(&self.exec);
         let mut batch_idx: Vec<usize> = Vec::new();
-        let mut batch: Vec<(&mut SequenceState, u32)> = Vec::new();
+        let mut batch: Vec<(&mut SequenceState, &[u32])> = Vec::new();
         for (i, seq) in self.running.iter_mut().enumerate() {
-            if let Some(t) = seq.last_token {
+            if let Some(t) = seq.last_token.as_ref() {
                 batch_idx.push(i);
-                batch.push((&mut seq.state, t));
+                batch.push((&mut seq.state, std::slice::from_ref(t)));
             }
         }
         if batch.is_empty() {

@@ -40,10 +40,26 @@ impl DenseHeadCache {
     /// copy-on-write forked before it can be written. Schedulers use this for
     /// exact page-demand reservation before a decode step.
     pub fn needs_page_for_next_append(&self, pool: &PagePool) -> bool {
-        match self.pages.last() {
-            Some(&id) => pool.page(id).is_full() || pool.is_shared(id),
-            None => true,
+        self.pages_needed_for_next_tokens(pool, 1) > 0
+    }
+
+    /// Exact number of fresh pool pages appending the next `n` tokens will
+    /// allocate: one copy-on-write fork when the last page is partial and
+    /// shared, plus one page per page boundary the `n` tokens cross. A dense
+    /// head never frees while appending, so this is also its peak demand.
+    pub fn pages_needed_for_next_tokens(&self, pool: &PagePool, n: usize) -> usize {
+        if n == 0 {
+            return 0;
         }
+        let np = pool.config().physical_page_size();
+        let (room, fork) = match self.pages.last() {
+            Some(&id) => {
+                let room = np - pool.page(id).len();
+                (room, room > 0 && pool.is_shared(id))
+            }
+            None => (0, false),
+        };
+        usize::from(fork) + n.saturating_sub(room).div_ceil(np)
     }
 
     /// Appends one `(key, value)` row, allocating a new page when the last one is

@@ -40,9 +40,16 @@ impl HeadCache {
     /// True when appending the next token must allocate a fresh pool page
     /// (transiently, for streaming heads that evict after allocating).
     pub fn needs_page_for_next_append(&self, pool: &PagePool) -> bool {
+        self.pages_needed_for_next_tokens(pool, 1) > 0
+    }
+
+    /// Exact peak number of fresh pool pages appending the next `n` tokens
+    /// will hold at once (see [`DenseHeadCache::pages_needed_for_next_tokens`]
+    /// and [`StreamingHeadCache::pages_needed_for_next_tokens`]).
+    pub fn pages_needed_for_next_tokens(&self, pool: &PagePool, n: usize) -> usize {
         match self {
-            HeadCache::Dense(c) => c.needs_page_for_next_append(pool),
-            HeadCache::Streaming(c) => c.needs_page_for_next_append(pool),
+            HeadCache::Dense(c) => c.pages_needed_for_next_tokens(pool, n),
+            HeadCache::Streaming(c) => c.pages_needed_for_next_tokens(pool, n),
         }
     }
 
@@ -272,10 +279,19 @@ impl LayerKvCache {
     /// A scheduler that reserves this many free pages before a decode step is
     /// guaranteed the step cannot fail mid-layer with an out-of-pages error.
     pub fn pages_needed_for_next_token(&self, pool: &PagePool) -> usize {
+        self.pages_needed_for_next_tokens(pool, 1)
+    }
+
+    /// Page demand of appending the next `n` tokens to every head: the sum of
+    /// each head's exact peak demand. Heads allocate from one pool but never
+    /// free each other's pages, so the sum covers every order in which the
+    /// heads' appends can interleave; reserving it guarantees all `n`
+    /// appends succeed.
+    pub fn pages_needed_for_next_tokens(&self, pool: &PagePool, n: usize) -> usize {
         self.heads
             .iter()
-            .filter(|h| h.needs_page_for_next_append(pool))
-            .count()
+            .map(|h| h.pages_needed_for_next_tokens(pool, n))
+            .sum()
     }
 
     /// Frees all pages of all heads.

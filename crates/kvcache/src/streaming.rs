@@ -115,19 +115,72 @@ impl StreamingHeadCache {
     /// growth it transiently needs one free page; this method reports that
     /// transient demand, which is what a scheduler must reserve.
     pub fn needs_page_for_next_append(&self, pool: &PagePool) -> bool {
-        let np = pool.config().physical_page_size();
-        let in_sink_region = self.tokens / np < self.window.sink_pages;
-        if in_sink_region {
-            match self.sink.last() {
-                Some(&id) => pool.page(id).is_full() || pool.is_shared(id),
-                None => true,
-            }
-        } else {
-            match self.local.back() {
-                Some(&(_, id)) => pool.page(id).is_full() || pool.is_shared(id),
-                None => true,
-            }
+        self.pages_needed_for_next_tokens(pool, 1) > 0
+    }
+
+    /// Exact peak number of fresh pool pages appending the next `n` tokens
+    /// will hold at once — the reservation that guarantees all `n` appends
+    /// succeed.
+    ///
+    /// Walks the page events of the `n` appends: a copy-on-write fork of a
+    /// shared partial target page, then one allocation per page boundary
+    /// crossed. Each local-ring allocation is followed by evictions down to
+    /// `local_pages`, and an evicted page gives its slot back only when it
+    /// is sole-owned and holds a hot slot (a page the prefix cache co-owns
+    /// stays alive, and a cold page frees host capacity, not device
+    /// capacity). Because eviction runs after allocation, a ring that wraps
+    /// needs one page of headroom even when it nets zero growth.
+    pub fn pages_needed_for_next_tokens(&self, pool: &PagePool, n: usize) -> usize {
+        if n == 0 {
+            return 0;
         }
+        let np = pool.config().physical_page_size();
+        let pos = self.tokens;
+        let in_sink_region = |p: usize| p / np < self.window.sink_pages;
+        let target = if in_sink_region(pos) {
+            self.sink.last().copied()
+        } else {
+            self.local.back().map(|&(_, id)| id)
+        };
+        let (room, fork) = match target {
+            Some(id) => {
+                let room = np - pool.page(id).len();
+                (room, room > 0 && pool.is_shared(id))
+            }
+            None => (0, false),
+        };
+        // Whether evicting each local page (oldest first) returns a slot.
+        let mut ring: VecDeque<bool> = self
+            .local
+            .iter()
+            .map(|&(_, id)| {
+                pool.refcount(id) == 1
+                    && matches!(
+                        pool.residency(id),
+                        Residency::Hot | Residency::Migrating(MigrationDir::ToHot)
+                    )
+            })
+            .collect();
+        let mut held = usize::from(fork);
+        if fork && !in_sink_region(pos) {
+            *ring.back_mut().expect("target is the ring's newest page") = true;
+        }
+        let mut peak = held;
+        let mut p = pos + room;
+        while p < pos + n {
+            held += 1;
+            peak = peak.max(held);
+            if !in_sink_region(p) {
+                ring.push_back(true);
+                while ring.len() > self.window.local_pages {
+                    if ring.pop_front().expect("len checked") {
+                        held -= 1;
+                    }
+                }
+            }
+            p += np;
+        }
+        peak
     }
 
     /// Appends one `(key, value)` row, allocating/evicting pages as needed.

@@ -188,7 +188,19 @@ impl Matrix {
 
     /// Dense matrix product `self * rhs`.
     ///
-    /// Uses a cache-blocked i-k-j loop ordering.
+    /// Every output element is the sum `Σ_k self[i][k] · rhs[k][j]` accumulated
+    /// in ascending `k` from `0.0`, skipping terms whose left factor is zero —
+    /// so each output row depends only on its own input row, and a block of
+    /// rows multiplies to exactly the bits of the rows multiplied one at a
+    /// time.
+    ///
+    /// Pairs of zero-free rows run a register-tiled kernel that keeps a
+    /// `2 × MATMUL_TILE_COLS` block of accumulators in registers across the
+    /// whole `k` loop, streaming each `rhs` row segment once per row pair; it
+    /// performs the same additions in the same order, so the result is
+    /// bit-identical. Rows containing a zero (whose skipped terms would
+    /// otherwise add `±0.0` and could flip a zero's sign), a final unpaired
+    /// row, and the ragged column tail use the plain i-k-j loop.
     ///
     /// # Panics
     ///
@@ -201,20 +213,43 @@ impl Matrix {
         );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         let n = rhs.cols;
-        for i in 0..self.rows {
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
+        let tiled = n - n % MATMUL_TILE_COLS;
+        let zero_free = |i: usize| self.row(i).iter().all(|&a| a != 0.0);
+        let mut i = 0;
+        while i < self.rows {
+            if tiled > 0 && i + 1 < self.rows && zero_free(i) && zero_free(i + 1) {
+                let (top, bottom) = out.data[i * n..(i + 2) * n].split_at_mut(n);
+                for j0 in (0..tiled).step_by(MATMUL_TILE_COLS) {
+                    matmul_tile_2rows(self.row(i), self.row(i + 1), rhs, j0, top, bottom);
                 }
-                let rhs_row = &rhs.data[k * n..(k + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
+                self.matmul_row_into(i, rhs, tiled, top);
+                self.matmul_row_into(i + 1, rhs, tiled, bottom);
+                i += 2;
+            } else {
+                self.matmul_row_into(i, rhs, 0, &mut out.data[i * n..(i + 1) * n]);
+                i += 1;
             }
         }
         out
+    }
+
+    /// The plain i-k-j loop for one output row, columns `from..`: adds
+    /// `self[i][k] · rhs[k][j]` into `out_row[j]` in ascending `k`, skipping
+    /// zero left factors.
+    fn matmul_row_into(&self, i: usize, rhs: &Matrix, from: usize, out_row: &mut [f32]) {
+        let n = rhs.cols;
+        if from == n {
+            return;
+        }
+        for (k, &a) in self.row(i).iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            let rhs_row = &rhs.data[k * n + from..(k + 1) * n];
+            for (o, &b) in out_row[from..].iter_mut().zip(rhs_row) {
+                *o += a * b;
+            }
+        }
     }
 
     /// Matrix product `self * rhs^T`, i.e. `out[i][j] = dot(self.row(i), rhs.row(j))`.
@@ -314,6 +349,38 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
+/// Output columns one register tile of [`Matrix::matmul`] covers.
+const MATMUL_TILE_COLS: usize = 16;
+
+/// One `2 × MATMUL_TILE_COLS` register tile of [`Matrix::matmul`]: output
+/// columns `j0..j0 + MATMUL_TILE_COLS` of two rows, each accumulated from
+/// `0.0` in ascending `k` — the same additions, in the same order, as the
+/// plain loop performs on zero-free rows.
+#[inline]
+fn matmul_tile_2rows(
+    a0: &[f32],
+    a1: &[f32],
+    rhs: &Matrix,
+    j0: usize,
+    out0: &mut [f32],
+    out1: &mut [f32],
+) {
+    let n = rhs.cols;
+    let mut acc0 = [0.0f32; MATMUL_TILE_COLS];
+    let mut acc1 = [0.0f32; MATMUL_TILE_COLS];
+    for (k, (&x0, &x1)) in a0.iter().zip(a1).enumerate() {
+        let b: &[f32; MATMUL_TILE_COLS] = rhs.data[k * n + j0..k * n + j0 + MATMUL_TILE_COLS]
+            .try_into()
+            .expect("tile lies inside the row");
+        for j in 0..MATMUL_TILE_COLS {
+            acc0[j] += x0 * b[j];
+            acc1[j] += x1 * b[j];
+        }
+    }
+    out0[j0..j0 + MATMUL_TILE_COLS].copy_from_slice(&acc0);
+    out1[j0..j0 + MATMUL_TILE_COLS].copy_from_slice(&acc1);
+}
+
 impl Default for Matrix {
     /// An empty `0 x 0` matrix.
     fn default() -> Self {
@@ -377,6 +444,75 @@ mod tests {
         a.append_rows(&b);
         assert_eq!(a.rows(), 3);
         assert_eq!(a.row(2), &[5.0, 6.0]);
+    }
+
+    /// The pre-tiling kernel, kept as the bitwise reference.
+    fn matmul_plain(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for k in 0..a.cols {
+                let x = a[(i, k)];
+                if x == 0.0 {
+                    continue;
+                }
+                for j in 0..b.cols {
+                    out[(i, j)] += x * b[(k, j)];
+                }
+            }
+        }
+        out
+    }
+
+    fn filled(rows: usize, cols: usize, seed: u32) -> Matrix {
+        let mut state = seed.wrapping_mul(2_654_435_761).max(1);
+        let data = (0..rows * cols)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                (state % 2001) as f32 / 1000.0 - 1.0 + 1e-3
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    fn assert_bitwise(a: &Matrix, b: &Matrix) {
+        let got: Vec<u32> = a.matmul(b).as_slice().iter().map(|x| x.to_bits()).collect();
+        let want: Vec<u32> = matmul_plain(a, b)
+            .as_slice()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        assert_eq!(got, want, "{}x{} * {}x{}", a.rows, a.cols, b.rows, b.cols);
+    }
+
+    #[test]
+    fn tiled_matmul_is_bitwise_equal_to_the_plain_loop() {
+        // 1 row, odd and even row counts, exact tiles and ragged column tails.
+        for (rows, inner, cols) in [
+            (1, 32, 48),
+            (2, 32, 48),
+            (3, 17, 16),
+            (5, 64, 40),
+            (8, 256, 130),
+            (7, 9, 7),
+        ] {
+            assert_bitwise(&filled(rows, inner, 7), &filled(inner, cols, 11));
+        }
+        // Rows containing zeros (including -0.0) fall back to the plain loop;
+        // their neighbours still tile.
+        let mut a = filled(6, 24, 3);
+        a[(1, 5)] = 0.0;
+        a[(2, 0)] = -0.0;
+        a[(5, 23)] = 0.0;
+        let mut b = filled(24, 35, 5);
+        b[(5, 3)] = -0.0;
+        b[(0, 7)] = f32::INFINITY;
+        assert_bitwise(&a, &b);
+        // Products that are all signed zeros keep the plain loop's zero bits.
+        let neg = Matrix::from_rows(&[&[1.0; 4], &[2.0; 4]]);
+        let z = Matrix::full(4, 16, -0.0);
+        assert_bitwise(&neg, &z);
     }
 
     #[test]

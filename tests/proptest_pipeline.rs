@@ -4,9 +4,12 @@
 use std::sync::Arc;
 
 use lserve::attention::{decode_dense_head, masked_attention_reference};
-use lserve::core::{Engine, EngineConfig};
+use lserve::core::{
+    Engine, EngineConfig, EngineStats, MigrationMode, ModelExecutor, ParallelExecStats,
+    PlacementPolicy, SelectorKind, ShardingPlan, SparsityOverride, SparsitySchedule, Topology,
+};
 use lserve::kvcache::{DenseHeadCache, PagePool, PagingConfig};
-use lserve::model::{ModelConfig, ModelWeights};
+use lserve::model::{greedy_next_token, ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
 use lserve::selector::{
     FlatSelector, HierarchicalSelector, PageSelector, ReusableSelector, Selection,
@@ -141,4 +144,196 @@ proptest! {
         e.release(&mut pool);
         prop_assert_eq!(pool.in_use(), 0);
     }
+}
+
+/// How a chunked feed slices the prompt remainder into executor calls.
+#[derive(Debug, Clone, Copy)]
+enum Split {
+    /// Every call feeds `n` tokens (the last call takes what is left).
+    Cells(usize),
+    /// Call sizes cycle through a ragged pattern.
+    Uneven,
+}
+
+impl Split {
+    fn cell(self, call: usize) -> usize {
+        match self {
+            Split::Cells(n) => n,
+            Split::Uneven => [3, 50, 1, 17, 9][call % 5],
+        }
+    }
+}
+
+/// One feed scenario of the chunked-feed equivalence matrix.
+#[derive(Debug, Clone, Copy)]
+struct FeedCase {
+    precision: KvPrecision,
+    selector: SelectorKind,
+    override_from: Option<usize>,
+    demote: Option<usize>,
+    migration: MigrationMode,
+    /// A second sequence swapped out just before the feed, so its outbound
+    /// transfers are in flight on the copy engine while the prompt is fed.
+    bystander: bool,
+}
+
+impl FeedCase {
+    fn config(self) -> EngineConfig {
+        let mut cfg = match self.selector {
+            SelectorKind::None => EngineConfig::duo_like(),
+            kind => {
+                let mut cfg = EngineConfig::lserve_with_budget(24);
+                cfg.selector = kind;
+                cfg
+            }
+        };
+        cfg.paging = PagingConfig::new(8, 4, self.precision);
+        cfg.prefill_tile = 8;
+        cfg.reuse_interval = 2;
+        cfg.demote_after_chunks = self.demote;
+        cfg
+    }
+
+    /// Prefills the first grid cell, feeds the rest of the prompt through the
+    /// executor in calls sized by `split` (`None`: one `decode_step` per
+    /// token), then decodes greedily. Returns the logits after the last
+    /// prompt token, the generated tokens, the sequence's work counters, and
+    /// the pool's migration ledgers.
+    fn run(self, split: Option<Split>) -> (Vec<u32>, Vec<u32>, EngineStats, String) {
+        const PROMPT: usize = 150;
+        const GRID: usize = 8;
+        const DECODE: usize = 32;
+        let w = Arc::new(ModelWeights::random(&ModelConfig::tiny(), 17));
+        let cfg = self.config();
+        let exec = ModelExecutor::new(Arc::clone(&w), cfg.clone());
+        let mut pool =
+            PagePool::new_with_migration(cfg.paging, 4096, w.config.head_dim, self.migration);
+        let mut state = exec.new_sequence();
+        if let Some(from) = self.override_from {
+            let mut schedule = SparsitySchedule::new();
+            schedule.push(from, SparsityOverride::none().with_budget(8));
+            state.set_sparsity_schedule(schedule);
+        }
+        let prompt: Vec<u32> = (0..PROMPT).map(|i| ((i * 31 + 7) % 97) as u32).collect();
+        let mut logits = exec
+            .prefill(&mut state, &mut pool, &prompt[..GRID])
+            .unwrap()
+            .logits;
+        let mut bystander = exec.new_sequence();
+        if self.bystander {
+            exec.prefill(&mut bystander, &mut pool, &prompt[..GRID])
+                .unwrap();
+            for &t in &prompt[GRID..80] {
+                exec.decode_step(&mut bystander, &mut pool, t).unwrap();
+            }
+            bystander.demote_resident(&mut pool);
+        }
+        match split {
+            None => {
+                for &t in &prompt[GRID..] {
+                    logits = exec.decode_step(&mut state, &mut pool, t).unwrap().logits;
+                }
+            }
+            Some(split) => {
+                let m = &w.config;
+                let mut plan = ShardingPlan::new(
+                    Topology::from_env(),
+                    PlacementPolicy::SparsityAware,
+                    m.num_layers,
+                    m.num_kv_heads,
+                );
+                let mut exec_stats = ParallelExecStats::default();
+                let (mut fed, mut call) = (GRID, 0);
+                while fed < PROMPT {
+                    let end = (fed + split.cell(call)).min(PROMPT);
+                    let mut rows = [(&mut state, &prompt[fed..end])];
+                    let out = exec
+                        .decode_batch_sharded(&mut pool, &mut rows, 1, &mut plan, &mut exec_stats)
+                        .pop()
+                        .unwrap();
+                    logits = out.unwrap().logits;
+                    fed = end;
+                    call += 1;
+                }
+            }
+        }
+        let last_prompt_logits: Vec<u32> = logits.iter().map(|x| x.to_bits()).collect();
+        let mut generated = Vec::with_capacity(DECODE);
+        for _ in 0..DECODE {
+            let next = greedy_next_token(&logits);
+            generated.push(next);
+            logits = exec
+                .decode_step(&mut state, &mut pool, next)
+                .unwrap()
+                .logits;
+        }
+        let stats = state.stats();
+        let ledgers = format!("{:?} {:?}", pool.tier_stats(), pool.migration_stats());
+        state.release(&mut pool);
+        bystander.release(&mut pool);
+        assert_eq!(pool.in_use(), 0, "feed leaked pages");
+        (last_prompt_logits, generated, stats, ledgers)
+    }
+}
+
+/// Feeding the prompt remainder in multi-token executor calls — one
+/// layer-outer pass per call — is bit-identical to feeding it one
+/// `decode_step` at a time: the last prompt token's logits bit for bit, the
+/// next 32 greedy tokens, every work counter, and the pool's migration
+/// ledgers. Covered across KV precision, selector kind, a positional sparsity
+/// override, selection-driven demotion, migration mode (with and without
+/// another sequence's transfers in flight) and cell splits.
+#[test]
+fn chunked_feed_matches_per_token_feed() {
+    let splits = [
+        Split::Cells(1),
+        Split::Cells(7),
+        Split::Cells(64),
+        Split::Cells(128),
+        Split::Uneven,
+    ];
+    let mut cases = 0;
+    for precision in [KvPrecision::Fp16, KvPrecision::Int4] {
+        for selector in [
+            SelectorKind::Flat,
+            SelectorKind::Hierarchical,
+            SelectorKind::None,
+        ] {
+            let demotes: &[Option<usize>] = match selector {
+                SelectorKind::None => &[None],
+                _ => &[None, Some(1)],
+            };
+            for &demote in demotes {
+                for override_from in [None, Some(60)] {
+                    for (migration, bystander) in [
+                        (MigrationMode::Sync, false),
+                        (MigrationMode::Async, false),
+                        (MigrationMode::Async, true),
+                    ] {
+                        let case = FeedCase {
+                            precision,
+                            selector,
+                            override_from,
+                            demote,
+                            migration,
+                            bystander,
+                        };
+                        let want = case.run(None);
+                        for split in splits {
+                            let got = case.run(Some(split));
+                            assert!(
+                                got.0 == want.0,
+                                "{case:?} {split:?}: last prompt logits differ"
+                            );
+                            assert_eq!(got.1, want.1, "{case:?} {split:?}: generated tokens");
+                            assert_eq!(got.2, want.2, "{case:?} {split:?}: engine stats");
+                            assert_eq!(got.3, want.3, "{case:?} {split:?}: pool ledgers");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 2 * 5 * 2 * 3 * 5);
 }
