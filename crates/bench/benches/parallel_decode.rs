@@ -19,7 +19,10 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 
 use std::sync::Arc;
 
-use lserve_core::{EngineConfig, ModelExecutor, ParallelExecStats, SequenceState};
+use lserve_core::{
+    EngineConfig, ModelExecutor, ParallelExecStats, PlacementPolicy, SequenceState, ShardingPlan,
+    Topology,
+};
 use lserve_kvcache::PagePool;
 use lserve_model::{ModelConfig, ModelWeights};
 
@@ -85,12 +88,21 @@ fn decode_step(
     threads: usize,
     stats: &mut ParallelExecStats,
 ) {
-    let mut batch: Vec<(&mut SequenceState, u32)> = states
+    // A transient sparsity-aware plan over `LSERVE_DEVICES`, as
+    // `ModelExecutor::decode_step` builds per call.
+    let model = &exec.weights().config;
+    let mut plan = ShardingPlan::new(
+        Topology::from_env(),
+        PlacementPolicy::SparsityAware,
+        model.num_layers,
+        model.num_kv_heads,
+    );
+    let mut batch: Vec<(&mut SequenceState, &[u32])> = states
         .iter_mut()
         .zip(tokens.iter())
-        .map(|(s, &t)| (s, t))
+        .map(|(s, t)| (s, std::slice::from_ref(t)))
         .collect();
-    let results = exec.decode_batch_threads(pool, &mut batch, threads, stats);
+    let results = exec.decode_batch_sharded(pool, &mut batch, threads, &mut plan, stats);
     assert!(
         results.iter().all(Result::is_ok),
         "pool sized for the bench"

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lserve_core::{
-    sequence_pages_estimate, AdmissionPolicy, EngineConfig, ModelExecutor, Request, Scheduler,
+    sequence_pages_estimate, AdmissionPolicy, EngineConfig, ModelExecutor, RequestSpec, Scheduler,
     SchedulerConfig,
 };
 use lserve_kvcache::PagingConfig;
@@ -16,16 +16,15 @@ use lserve_model::{ModelConfig, ModelWeights};
 use lserve_quant::KvPrecision;
 use std::hint::black_box;
 
-fn mixed_requests() -> Vec<Request> {
+fn mixed_requests() -> Vec<RequestSpec> {
     // Short, medium, and long prompts interleaved (the arrival mix that makes
     // head-of-line blocking visible without chunked prefill).
     (0..6u64)
-        .map(|i| Request {
-            id: i,
-            prompt: (0..16 + 14 * i as usize)
+        .map(|i| {
+            let prompt = (0..16 + 14 * i as usize)
                 .map(|t| ((t * 3 + i as usize) % 90) as u32)
-                .collect(),
-            max_new_tokens: 8,
+                .collect();
+            RequestSpec::new(i, prompt).max_new_tokens(8)
         })
         .collect()
 }

@@ -267,8 +267,7 @@ impl Cluster {
     /// Routes and enqueues a request: to the replica holding its prefix when
     /// one is recorded, else to the least-loaded replica (which then becomes
     /// the prefix's home). Returns the request's lifecycle handle.
-    pub fn submit(&mut self, spec: impl Into<RequestSpec>) -> RequestHandle {
-        let spec = spec.into();
+    pub fn submit(&mut self, spec: RequestSpec) -> RequestHandle {
         let (replica, hit) = self.route(&spec);
         self.router.routed += 1;
         if hit {

@@ -10,7 +10,7 @@ use lserve_quant::KvPrecision;
 /// The variable is read on every call — deliberately *not* cached in a
 /// process-wide `OnceLock` — so tests and benches can vary the knob
 /// in-process (`std::env::set_var` between scheduler constructions takes
-/// effect immediately). [`crate::ModelExecutor::decode_batch`] and
+/// effect immediately). [`crate::ModelExecutor::decode_step`] and
 /// [`crate::ModelExecutor::prefill`] use it when no explicit thread count is
 /// given, and [`crate::SchedulerConfig::from_env`] reads it once at
 /// construction and pins the result in its `decode_threads` field. CI runs

@@ -14,9 +14,9 @@
 //!
 //! This split is what makes a real serving loop possible: a scheduler holds one
 //! executor and N sequence states, batches decode across states
-//! ([`ModelExecutor::decode_batch`], layers in the outer loop so weight/config
-//! traversal is amortized), and can drop or rebuild any state independently
-//! (preemption and resume).
+//! ([`ModelExecutor::decode_batch_sharded`], layers in the outer loop so
+//! weight/config traversal is amortized), and can drop or rebuild any state
+//! independently (preemption and resume).
 
 use std::error::Error;
 use std::fmt;
@@ -354,7 +354,7 @@ pub struct ModelExecutor {
     masks: Vec<Vec<bool>>,
     kinds: Vec<Vec<HeadKind>>,
     /// Worker count for the thread-count-free entry points
-    /// ([`ModelExecutor::prefill`], [`ModelExecutor::decode_batch`]), resolved
+    /// ([`ModelExecutor::prefill`], [`ModelExecutor::decode_step`]), resolved
     /// once from `LSERVE_DECODE_THREADS` at construction — the env read itself
     /// is uncached ([`decode_threads_from_env`]), so tests can vary the knob
     /// between executor constructions without paying a per-token env lookup.
@@ -871,7 +871,13 @@ impl ModelExecutor {
     /// logits.
     ///
     /// Dense heads go through dynamic page selection (when configured) and the
-    /// fused decode kernel; streaming heads attend their sink+local pages.
+    /// fused decode kernel; streaming heads attend their sink+local pages. A
+    /// one-row [`ModelExecutor::decode_batch_sharded`] call on the executor's
+    /// default thread count and a transient sparsity-aware plan over
+    /// [`Topology::from_env`] (read per call, like every other env knob);
+    /// callers that need placement to persist across steps — the scheduler,
+    /// whose rebalancer tracks load history — hold their own plan and call
+    /// `decode_batch_sharded` directly.
     ///
     /// # Errors
     ///
@@ -888,57 +894,6 @@ impl ModelExecutor {
         pool: &mut PagePool,
         token: u32,
     ) -> Result<DecodeOutput, OutOfPagesError> {
-        let mut out = self.decode_batch(pool, &mut [(state, token)]);
-        out.pop().expect("one result per input sequence")
-    }
-
-    /// Batched decode: one token for every sequence in `batch`, walking **layers in
-    /// the outer loop** so the weight and config traversal of each layer is
-    /// amortized across the whole batch (iteration-level batching, the
-    /// memory-access pattern real batched decode kernels use). Uses the
-    /// process-wide default thread count ([`decode_threads_from_env`]).
-    ///
-    /// Each sequence's computation is independent, so outputs are bit-identical to
-    /// calling [`ModelExecutor::decode_step`] per sequence in any order — the
-    /// property the scheduler's determinism guarantee rests on.
-    ///
-    /// Returns one result per sequence, in input order. A sequence that runs out of
-    /// pages mid-step gets `Err(OutOfPagesError)` and is left partially written
-    /// (release/replay it); the other sequences are unaffected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any sequence has no context yet (prefill first).
-    pub fn decode_batch(
-        &self,
-        pool: &mut PagePool,
-        batch: &mut [(&mut SequenceState, u32)],
-    ) -> Vec<Result<DecodeOutput, OutOfPagesError>> {
-        let mut stats = ParallelExecStats::default();
-        self.decode_batch_threads(pool, batch, self.default_threads, &mut stats)
-    }
-
-    /// [`ModelExecutor::decode_batch`] with an explicit worker-thread count.
-    ///
-    /// `exec_stats` accumulates one [`ParallelExecStats`] phase per layer:
-    /// measured worker busy time (utilization/imbalance) plus the
-    /// deterministic cost-model critical path (modeled speedup). See
-    /// [`ModelExecutor::decode_batch_sharded`] for the phase structure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any sequence has no context yet (prefill first).
-    pub fn decode_batch_threads(
-        &self,
-        pool: &mut PagePool,
-        batch: &mut [(&mut SequenceState, u32)],
-        threads: usize,
-        exec_stats: &mut ParallelExecStats,
-    ) -> Vec<Result<DecodeOutput, OutOfPagesError>> {
-        // Transient per-call plan seeded from `LSERVE_DEVICES` (read here, per
-        // call, like every other env knob). Callers that need placement to
-        // persist across steps — the scheduler, whose rebalancer tracks load
-        // history — hold their own plan and call `decode_batch_sharded`.
         let model = &self.weights.config;
         let mut plan = ShardingPlan::new(
             Topology::from_env(),
@@ -946,11 +901,11 @@ impl ModelExecutor {
             model.num_layers,
             model.num_kv_heads,
         );
-        let mut rows: Vec<(&mut SequenceState, &[u32])> = batch
-            .iter_mut()
-            .map(|(state, token)| (&mut **state, std::slice::from_ref(&*token)))
-            .collect();
-        self.decode_batch_sharded(pool, &mut rows, threads, &mut plan, exec_stats)
+        let mut stats = ParallelExecStats::default();
+        let rows = &mut [(state, std::slice::from_ref(&token))];
+        self.decode_batch_sharded(pool, rows, self.default_threads, &mut plan, &mut stats)
+            .pop()
+            .expect("one result per input row")
     }
 
     /// The executor's one token-absorbing entry point: every row is a
@@ -1575,6 +1530,18 @@ mod tests {
         Arc::new(ModelWeights::random(&ModelConfig::tiny(), 42))
     }
 
+    /// The transient plan [`ModelExecutor::decode_step`] builds per call:
+    /// sparsity-aware placement over `LSERVE_DEVICES`.
+    fn env_plan(exec: &ModelExecutor) -> ShardingPlan {
+        let model = &exec.weights.config;
+        ShardingPlan::new(
+            Topology::from_env(),
+            lserve_costmodel::PlacementPolicy::SparsityAware,
+            model.num_layers,
+            model.num_kv_heads,
+        )
+    }
+
     #[test]
     fn sequences_share_one_executor() {
         let cfg = EngineConfig::lserve_fp16();
@@ -1616,7 +1583,7 @@ mod tests {
             seq_tokens.push(toks);
         }
 
-        // Batched: all three advanced one token per decode_batch call.
+        // Batched: all three advanced one token per decode_batch_sharded call.
         let mut pool_b = cfg.make_pool_for(&w.config, 1024);
         let mut b_states: Vec<SequenceState> =
             prompts.iter().map(|_| exec.new_sequence()).collect();
@@ -1629,12 +1596,18 @@ mod tests {
             .collect();
         let mut b_tokens: Vec<Vec<u32>> = pending.iter().map(|&t| vec![t]).collect();
         for _ in 0..6 {
-            let mut batch: Vec<(&mut SequenceState, u32)> = b_states
+            let mut batch: Vec<(&mut SequenceState, &[u32])> = b_states
                 .iter_mut()
                 .zip(pending.iter())
-                .map(|(s, &t)| (s, t))
+                .map(|(s, t)| (s, std::slice::from_ref(t)))
                 .collect();
-            let outs = exec.decode_batch(&mut pool_b, &mut batch);
+            let outs = exec.decode_batch_sharded(
+                &mut pool_b,
+                &mut batch,
+                exec.default_threads,
+                &mut env_plan(&exec),
+                &mut ParallelExecStats::default(),
+            );
             for (i, out) in outs.into_iter().enumerate() {
                 let next = greedy_next_token(&out.unwrap().logits);
                 pending[i] = next;
@@ -1645,7 +1618,7 @@ mod tests {
     }
 
     /// The tentpole invariant at the executor level: for every thread count,
-    /// `decode_batch_threads` emits bit-identical logits to the serial path —
+    /// `decode_batch_sharded` emits bit-identical logits to the serial path —
     /// including a mixed dense/streaming batch with active page selection.
     #[test]
     fn parallel_decode_bit_identical_across_thread_counts() {
@@ -1673,13 +1646,18 @@ mod tests {
                 .collect();
             let mut all_logits: Vec<Vec<Vec<f32>>> = prompts.iter().map(|_| Vec::new()).collect();
             for _ in 0..24 {
-                let mut batch: Vec<(&mut SequenceState, u32)> = states
+                let mut batch: Vec<(&mut SequenceState, &[u32])> = states
                     .iter_mut()
                     .zip(pending.iter())
-                    .map(|(s, &t)| (s, t))
+                    .map(|(s, t)| (s, std::slice::from_ref(t)))
                     .collect();
-                let outs =
-                    exec.decode_batch_threads(&mut pool, &mut batch, threads, &mut exec_stats);
+                let outs = exec.decode_batch_sharded(
+                    &mut pool,
+                    &mut batch,
+                    threads,
+                    &mut env_plan(&exec),
+                    &mut exec_stats,
+                );
                 for (i, out) in outs.into_iter().enumerate() {
                     let logits = out.unwrap().logits;
                     pending[i] = greedy_next_token(&logits);
@@ -1883,9 +1861,16 @@ mod tests {
         exec.prefill(&mut b, &mut pool, &[5, 6, 7, 8]).unwrap();
         let mut results = Vec::new();
         for step in 0..200 {
-            let mut batch: Vec<(&mut SequenceState, u32)> =
-                vec![(&mut a, step as u32 % 90), (&mut b, (step + 1) as u32 % 90)];
-            let out = exec.decode_batch(&mut pool, &mut batch);
+            let tokens = [step as u32 % 90, (step + 1) as u32 % 90];
+            let mut batch: Vec<(&mut SequenceState, &[u32])> =
+                vec![(&mut a, &tokens[..1]), (&mut b, &tokens[1..])];
+            let out = exec.decode_batch_sharded(
+                &mut pool,
+                &mut batch,
+                exec.default_threads,
+                &mut env_plan(&exec),
+                &mut ParallelExecStats::default(),
+            );
             if out.iter().any(|r| r.is_err()) {
                 results = out;
                 break;

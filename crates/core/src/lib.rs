@@ -28,8 +28,9 @@
 //!   [`ServingEvent`]): chunked prefill over a fixed tile grid, exact
 //!   page-demand reservation, SLO-class/deadline/swap-cost-aware admission and
 //!   preemption, cancellation, multi-turn sessions, cross-request prefix
-//!   caching — plus the [`ServingEngine`] compatibility facade, standing in
-//!   for the vLLM-style serving loop the paper builds on.
+//!   caching — standing in for the vLLM-style serving loop the paper builds
+//!   on. Every request state change goes through one transition point, so
+//!   trace, handle events, status and report cannot drift apart.
 //! * [`prefix`] — [`CachedPrefix`], the positionally exact per-sequence KV
 //!   snapshot the scheduler donates into (and seeds from) the
 //!   `lserve-prefixcache` radix tree.
@@ -64,9 +65,8 @@ pub use metrics::MetricsSnapshot;
 pub use prefix::CachedPrefix;
 pub use serving::{
     preemption_from_env, sequence_pages_estimate, tile_grid_boundary, AdmissionPolicy,
-    FinishReason, PreemptionPolicy, RejectReason, Request, RequestHandle, RequestMetrics,
-    RequestSpec, RequestStatus, Scheduler, SchedulerConfig, ServingEngine, ServingEvent,
-    ServingReport, SloClass,
+    FinishReason, PreemptionPolicy, RejectReason, RequestHandle, RequestMetrics, RequestSpec,
+    RequestStatus, Scheduler, SchedulerConfig, ServingEvent, ServingReport, SloClass,
 };
 pub use sharding::{RebalanceOutcome, ShardingPlan, ShardingStats};
 pub use stats::{EngineStats, MigrationDelta, ParallelExecStats};

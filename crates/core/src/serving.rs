@@ -27,8 +27,8 @@
 //!   (fewest sole-owned hot pages).
 //! * **Iteration-level continuous batching** (Orca): every scheduler iteration
 //!   advances all running sequences by one token through
-//!   [`ModelExecutor::decode_batch`], which walks layers in the outer loop so the
-//!   weight/config traversal is amortized across the batch.
+//!   [`ModelExecutor::decode_batch_sharded`], which walks layers in the outer
+//!   loop so the weight/config traversal is amortized across the batch.
 //! * **Chunked prefill**: long prompts are admitted immediately and fed in bounded
 //!   chunks interleaved with decode iterations, so one long prompt no longer
 //!   head-of-line-blocks the whole batch. The first
@@ -83,7 +83,7 @@ use std::sync::{Arc, Mutex};
 use lserve_kvcache::{
     migration_from_env, tier_config_from_env, MigrationMode, PagePool, TierConfig,
 };
-use lserve_model::{greedy_next_token, ModelConfig, ModelWeights};
+use lserve_model::{greedy_next_token, ModelConfig};
 use lserve_prefixcache::{PrefixCache, PrefixCacheStats};
 use lserve_trace::{lane, Tracer};
 
@@ -184,20 +184,6 @@ pub fn sequence_pages_estimate_sparsity(
     };
     dense_heads * (cfg.paging.pages_for(dense_hot_tokens) + 1)
         + streaming_heads * (window.max_pages() + 2)
-}
-
-/// A flat generation request — the pre-handle API, kept as a compatibility
-/// shim. `Request` converts into a [`RequestSpec`] with the defaults (Batch
-/// class, no deadline, no stop conditions, no session), so existing call sites
-/// keep working; new code should build a [`RequestSpec`] directly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
-    /// Caller-chosen identifier.
-    pub id: u64,
-    /// Prompt token ids.
-    pub prompt: Vec<u32>,
-    /// Number of tokens to generate (greedy).
-    pub max_new_tokens: usize,
 }
 
 /// Service-level-objective class of a request. Scheduling is strict-priority
@@ -391,12 +377,6 @@ impl RequestSpec {
     pub fn sparsity_from(mut self, from: usize, over: SparsityOverride) -> Self {
         self.sparsity.push(from, over);
         self
-    }
-}
-
-impl From<Request> for RequestSpec {
-    fn from(req: Request) -> Self {
-        RequestSpec::new(req.id, req.prompt).max_new_tokens(req.max_new_tokens)
     }
 }
 
@@ -1097,6 +1077,52 @@ struct RequestProgress {
     trace_mark: u64,
 }
 
+impl RequestProgress {
+    /// Progress of a request entering the queue at scheduler iteration
+    /// `submit_iter` and work clock `submit_work` (`trace_mark` is set by the
+    /// transition that enqueues it).
+    fn new(submit_iter: u64, submit_work: u64) -> Self {
+        Self {
+            submit_iter,
+            submit_work,
+            first_token_iter: None,
+            first_token_work: None,
+            last_token_iter: 0,
+            preemptions: 0,
+            cached_tokens: 0,
+            ever_admitted: false,
+            trace_mark: 0,
+        }
+    }
+}
+
+/// Why a request changes lifecycle phase — the input of
+/// [`Scheduler::transition`], carrying what that change records.
+#[derive(Debug)]
+enum Cause {
+    /// A valid submission enters the queue (`prompt` = resolved length).
+    Submit { prompt: usize, class: SloClass },
+    /// A fork branch enters the queue with its parked CoW snapshot.
+    Spawn { suffix: usize },
+    /// Admission promoted a parked state (swap victim or fork branch) back
+    /// into the running batch, moving `units` transfer units.
+    AdmitParked { units: u64 },
+    /// Admission seeded a state afresh, `cached` prompt tokens of it from the
+    /// prefix cache.
+    AdmitFresh { cached: usize },
+    /// Pool pressure sent a running request back to the queue.
+    Preempt(PreemptionPolicy),
+    /// Terminal: the request completed with `tokens`.
+    Finish {
+        reason: FinishReason,
+        tokens: Vec<u32>,
+    },
+    /// Terminal: the request was cancelled after emitting `tokens`.
+    Cancel { tokens: Vec<u32> },
+    /// Terminal: the request can never be served.
+    Reject(RejectReason),
+}
+
 /// The scheduling rank of a request: strict priority by class, earliest
 /// virtual deadline within a class, FCFS arrival as the final tiebreak. Lower
 /// orders first. With [`SchedulerConfig::class_aware`] off, class and
@@ -1194,8 +1220,9 @@ impl SchedSeq {
 }
 
 /// Where a known request id currently lives — the O(1) backing of
-/// [`Scheduler::status`] (indices point into the report's `completed` /
-/// `cancelled` vectors, which only ever grow).
+/// [`Scheduler::status`] and the phase every [`Scheduler::transition`]
+/// leaves (indices point into the report's `completed` / `cancelled`
+/// vectors, which only ever grow).
 #[derive(Debug, Clone, Copy)]
 enum Phase {
     Queued,
@@ -1367,10 +1394,12 @@ impl Scheduler {
     /// queued batch traffic. A spec whose id the scheduler already knows is
     /// rejected immediately with [`RejectReason::DuplicateId`] (the earlier
     /// request is untouched).
-    pub fn submit(&mut self, spec: impl Into<RequestSpec>) -> RequestHandle {
-        let spec = spec.into();
+    pub fn submit(&mut self, spec: RequestSpec) -> RequestHandle {
         let handle = HandleShared::new(spec.id);
         if self.index.contains_key(&spec.id) {
+            // Deliberately not a `transition`: the duplicate never owns an
+            // index slot, and its trace lane (the id) belongs to the original
+            // request, so only the handle event and the reasons vector apply.
             handle.push(ServingEvent::Rejected {
                 reason: RejectReason::DuplicateId,
             });
@@ -1387,6 +1416,7 @@ impl Scheduler {
             }
             None => spec.prompt.clone(),
         };
+        let mut progress = RequestProgress::new(self.report.scheduler_steps, self.work_tokens);
         // Degenerate specs are rejected here, before they consume an arrival
         // slot — an empty (resolved) prompt has nothing to prefill, a zero
         // decode budget has nothing to generate, and a streaming-window
@@ -1394,30 +1424,18 @@ impl Scheduler {
         // at sequence creation).
         if prompt.is_empty() || spec.max_new_tokens == 0 || spec.sparsity.has_late_window_override()
         {
-            handle.push(ServingEvent::Rejected {
-                reason: RejectReason::Invalid,
-            });
-            self.index.insert(spec.id, Phase::Rejected);
-            self.report.rejected.push(spec.id);
-            self.report
-                .rejections
-                .push((spec.id, RejectReason::Invalid));
+            let cause = Cause::Reject(RejectReason::Invalid);
+            self.transition(spec.id, &handle, &mut progress, cause);
             return RequestHandle { shared: handle };
         }
         let arrival = self.next_arrival;
         self.next_arrival += 1;
         let key = self.slo_key(&spec, arrival);
-        self.index.insert(spec.id, Phase::Queued);
-        self.scfg.tracer.instant(
-            "submit",
-            "scheduler",
-            lane::SCHEDULER,
-            spec.id,
-            &[
-                ("prompt", prompt.len() as u64),
-                ("class", u64::from(spec.class.rank())),
-            ],
-        );
+        let cause = Cause::Submit {
+            prompt: prompt.len(),
+            class: spec.class,
+        };
+        self.transition(spec.id, &handle, &mut progress, cause);
         self.enqueue(QueuedSeq {
             core: SeqCore {
                 spec,
@@ -1429,17 +1447,7 @@ impl Scheduler {
             },
             generated: Vec::new(),
             swap: None,
-            progress: RequestProgress {
-                submit_iter: self.report.scheduler_steps,
-                submit_work: self.work_tokens,
-                first_token_iter: None,
-                first_token_work: None,
-                last_token_iter: 0,
-                preemptions: 0,
-                cached_tokens: 0,
-                ever_admitted: false,
-                trace_mark: self.scfg.tracer.now(),
-            },
+            progress,
         });
         RequestHandle { shared: handle }
     }
@@ -1543,14 +1551,11 @@ impl Scheduler {
             let arrival = self.next_arrival;
             self.next_arrival += 1;
             let key = self.slo_key(&spec, arrival);
-            self.index.insert(b.id, Phase::Queued);
-            self.scfg.tracer.instant(
-                "branch.spawn",
-                "dag",
-                lane::DAG,
-                b.id,
-                &[("suffix", b.suffix.len() as u64)],
-            );
+            let mut progress = RequestProgress::new(self.report.scheduler_steps, self.work_tokens);
+            let cause = Cause::Spawn {
+                suffix: b.suffix.len(),
+            };
+            self.transition(b.id, &handle, &mut progress, cause);
             self.enqueue(QueuedSeq {
                 core: SeqCore {
                     spec,
@@ -1567,17 +1572,7 @@ impl Scheduler {
                     resume_feed: Vec::new(),
                     last_token: None,
                 }),
-                progress: RequestProgress {
-                    submit_iter: self.report.scheduler_steps,
-                    submit_work: self.work_tokens,
-                    first_token_iter: None,
-                    first_token_work: None,
-                    last_token_iter: 0,
-                    preemptions: 0,
-                    cached_tokens: 0,
-                    ever_admitted: false,
-                    trace_mark: self.scfg.tracer.now(),
-                },
+                progress,
             });
             handles.push(RequestHandle { shared: handle });
         }
@@ -1853,7 +1848,7 @@ impl Scheduler {
         while i < self.running.len() {
             if self.running[i].core.handle.cancel_requested() {
                 let seq = self.running.remove(i);
-                self.cancel_running(seq);
+                self.cancel(seq.core, seq.progress, seq.generated, Some(seq.state));
             } else {
                 i += 1;
             }
@@ -1862,90 +1857,146 @@ impl Scheduler {
         while j < self.queue.len() {
             if self.queue[j].core.handle.cancel_requested() {
                 let q = self.queue.remove(j).expect("index in bounds");
-                self.cancel_queued(q);
+                self.cancel(q.core, q.progress, q.generated, q.swap.map(|s| s.state));
             } else {
                 j += 1;
             }
         }
     }
 
-    fn cancel_running(&mut self, mut seq: SchedSeq) {
-        // Loser branches land here when a join policy cancels them: the
-        // donation keeps the fork prefix (and the shared pages under it) warm
-        // for the winner and for future forks. Overridden sequences never
-        // donate — their selector history is budget-dependent.
-        if seq.core.spec.sparsity.is_empty() {
-            self.donate_tokens(&seq.core.prompt, &seq.generated, &seq.state);
-        }
-        seq.state.release(&mut self.pool);
-        self.scfg.tracer.span(
-            "running",
-            "scheduler",
-            lane::SCHEDULER,
-            seq.core.spec.id,
-            seq.progress.trace_mark,
-            &[],
-        );
-        self.finish_cancelled(seq.core, seq.generated);
-    }
-
-    fn cancel_queued(&mut self, mut q: QueuedSeq) {
-        if let Some(mut swap) = q.swap.take() {
-            // The parked state is clean, so its completed prefix is donatable
-            // like any other; its pages may sit in the cold tier, which the
-            // prefix contract supports (a later consumer's residency pass
-            // promotes on first use).
-            if q.core.spec.sparsity.is_empty() {
-                self.donate_tokens(&q.core.prompt, &q.generated, &swap.state);
+    /// Cancels a request that left the running batch or the queue, holding
+    /// `state` when it still has pages (a running sequence or a parked swap
+    /// victim), and cascades the cancellation to its speculative subtree.
+    fn cancel(
+        &mut self,
+        core: SeqCore,
+        mut progress: RequestProgress,
+        generated: Vec<u32>,
+        state: Option<SequenceState>,
+    ) {
+        if let Some(mut state) = state {
+            // Loser branches land here when a join policy cancels them: the
+            // donation keeps the fork prefix (and the shared pages under it)
+            // warm for the winner and for future forks. A parked state is
+            // clean, so its completed prefix is donatable like any other; its
+            // pages may sit in the cold tier, which the prefix contract
+            // supports (a later consumer's residency pass promotes on first
+            // use). Overridden sequences never donate — their selector
+            // history is budget-dependent.
+            if core.spec.sparsity.is_empty() {
+                self.donate_tokens(&core.prompt, &generated, &state);
             }
-            swap.state.release(&mut self.pool);
+            state.release(&mut self.pool);
         }
-        self.scfg.tracer.span(
-            "queued",
-            "scheduler",
-            lane::SCHEDULER,
-            q.core.spec.id,
-            q.progress.trace_mark,
-            &[],
-        );
-        self.finish_cancelled(q.core, q.generated);
-    }
-
-    /// Terminal rejection bookkeeping for a request that owned a queue/running
-    /// slot: the event, the status index, and both report vectors move
-    /// together. (Duplicate-id rejections at submit time deliberately bypass
-    /// this — they never owned a slot, so only the handle event and the
-    /// reasons vector apply there.)
-    fn finish_rejected(&mut self, core: SeqCore, reason: RejectReason) {
-        self.scfg
-            .tracer
-            .instant("reject", "scheduler", lane::SCHEDULER, core.spec.id, &[]);
-        core.handle.push(ServingEvent::Rejected { reason });
-        self.index.insert(core.spec.id, Phase::Rejected);
-        self.report.rejected.push(core.spec.id);
-        self.report.rejections.push((core.spec.id, reason));
-    }
-
-    fn finish_cancelled(&mut self, core: SeqCore, output: Vec<u32>) {
-        self.scfg.tracer.instant(
-            "cancel",
-            "scheduler",
-            lane::SCHEDULER,
-            core.spec.id,
-            &[("tokens", output.len() as u64)],
-        );
-        core.handle.push(ServingEvent::Cancelled {
-            tokens: output.clone(),
-        });
-        self.index
-            .insert(core.spec.id, Phase::Cancelled(self.report.cancelled.len()));
-        self.report.cancelled.push((core.spec.id, output));
+        let id = core.spec.id;
+        let cause = Cause::Cancel { tokens: generated };
+        self.transition(id, &core.handle, &mut progress, cause);
         // Cascade-cancel: cancelling a request takes its whole speculative
         // subtree with it (the descendants' results can never be consumed).
-        let cascade = self.dag.on_cancelled(core.spec.id);
-        for id in cascade {
-            self.flag_branch_cancel(id);
+        for child in self.dag.on_cancelled(id) {
+            self.flag_branch_cancel(child);
         }
+    }
+
+    /// The one lifecycle transition point: moves request `id` from its
+    /// current [`Phase`] in the index (none for a request not yet known) to
+    /// the phase `cause` leads to, and is the only code that records it —
+    /// it closes the retrospective `queued`/`running` span of the phase
+    /// being left, emits the cause's trace instant, pushes the handle's
+    /// state-change event, writes the index, and appends the report ledgers.
+    /// Trace, handle events, status and report therefore cannot disagree
+    /// about a request's lifecycle. Token events are not state changes and
+    /// stay in [`Scheduler::emit_token`].
+    fn transition(
+        &mut self,
+        id: u64,
+        handle: &HandleShared,
+        progress: &mut RequestProgress,
+        cause: Cause,
+    ) {
+        let tracer = &self.scfg.tracer;
+        let left = match self.index.get(&id) {
+            None => None,
+            Some(Phase::Queued) => Some("queued"),
+            Some(Phase::Running) => Some("running"),
+            Some(terminal) => unreachable!("request {id} transitions out of {terminal:?}"),
+        };
+        if let Some(span) = left {
+            let args: &[_] = match cause {
+                Cause::AdmitParked { .. } => &[("swapped", 1)],
+                _ => &[],
+            };
+            tracer.span(
+                span,
+                "scheduler",
+                lane::SCHEDULER,
+                id,
+                progress.trace_mark,
+                args,
+            );
+        }
+        let instant = |name: &'static str, args: &[(&'static str, u64)]| {
+            tracer.instant(name, "scheduler", lane::SCHEDULER, id, args);
+        };
+        let admit = |progress: &mut RequestProgress, arg: (&'static str, u64)| {
+            // A fork branch enters through the parked path too, but it was
+            // never admitted before — its first event is `Admitted`.
+            let (name, event) = if progress.ever_admitted {
+                ("resume", ServingEvent::Resumed)
+            } else {
+                ("admit", ServingEvent::Admitted)
+            };
+            instant(name, &[arg]);
+            progress.ever_admitted = true;
+            (Phase::Running, Some(event))
+        };
+        let (phase, event) = match cause {
+            Cause::Submit { prompt, class } => {
+                let args = [
+                    ("prompt", prompt as u64),
+                    ("class", u64::from(class.rank())),
+                ];
+                instant("submit", &args);
+                (Phase::Queued, None)
+            }
+            Cause::Spawn { suffix } => {
+                let args = [("suffix", suffix as u64)];
+                tracer.instant("branch.spawn", "dag", lane::DAG, id, &args);
+                (Phase::Queued, None)
+            }
+            Cause::AdmitParked { units } => admit(progress, ("units", units)),
+            Cause::AdmitFresh { cached } => admit(progress, ("cached", cached as u64)),
+            Cause::Preempt(policy) => {
+                let swap = u64::from(policy == PreemptionPolicy::Swap);
+                instant("preempt", &[("swap", swap)]);
+                progress.preemptions += 1;
+                self.report.preemptions += 1;
+                (Phase::Queued, Some(ServingEvent::Preempted { policy }))
+            }
+            Cause::Finish { reason, tokens } => {
+                instant("finish", &[("tokens", tokens.len() as u64)]);
+                let phase = Phase::Finished(self.report.completed.len());
+                self.report.completed.push((id, tokens.clone()));
+                (phase, Some(ServingEvent::Finished { reason, tokens }))
+            }
+            Cause::Cancel { tokens } => {
+                instant("cancel", &[("tokens", tokens.len() as u64)]);
+                let phase = Phase::Cancelled(self.report.cancelled.len());
+                self.report.cancelled.push((id, tokens.clone()));
+                (phase, Some(ServingEvent::Cancelled { tokens }))
+            }
+            Cause::Reject(reason) => {
+                instant("reject", &[]);
+                self.report.rejected.push(id);
+                self.report.rejections.push((id, reason));
+                (Phase::Rejected, Some(ServingEvent::Rejected { reason }))
+            }
+        };
+        if let Some(event) = event {
+            handle.push(event);
+        }
+        self.index.insert(id, phase);
+        progress.trace_mark = tracer.now();
     }
 
     /// Sets the cooperative cancel flag on a live request on behalf of the
@@ -1997,8 +2048,9 @@ impl Scheduler {
                 0
             };
             if full_est.saturating_sub(base_est) > self.pool.capacity() {
-                let q = self.queue.pop_front().expect("front checked");
-                self.finish_rejected(q.core, RejectReason::TooLarge);
+                let mut q = self.queue.pop_front().expect("front checked");
+                let cause = Cause::Reject(RejectReason::TooLarge);
+                self.transition(q.core.spec.id, &q.core.handle, &mut q.progress, cause);
                 continue;
             }
             // A swapped-out victim resumes by promotion, not by re-feeding:
@@ -2023,7 +2075,7 @@ impl Scheduler {
                     }
                     break; // wait for hot pages to free up
                 }
-                let q = self.queue.pop_front().expect("front checked");
+                let mut q = self.queue.pop_front().expect("front checked");
                 let swap = q.swap.expect("checked above");
                 let (_, units) = swap
                     .state
@@ -2044,36 +2096,8 @@ impl Scheduler {
                     // lands *after* the promotion it paid for.
                     self.scfg.tracer.advance(cost);
                 }
-                let id = q.core.spec.id;
-                self.scfg.tracer.span(
-                    "queued",
-                    "scheduler",
-                    lane::SCHEDULER,
-                    id,
-                    q.progress.trace_mark,
-                    &[("swapped", 1)],
-                );
-                // A fork branch enters through this same promote path (its
-                // CoW snapshot is parked like a swap victim's, with zero cold
-                // pages), but it was never admitted before — its first event
-                // is `Admitted`, not `Resumed`.
-                self.scfg.tracer.instant(
-                    if q.progress.ever_admitted {
-                        "resume"
-                    } else {
-                        "admit"
-                    },
-                    "scheduler",
-                    lane::SCHEDULER,
-                    id,
-                    &[("units", units)],
-                );
-                q.core.handle.push(if q.progress.ever_admitted {
-                    ServingEvent::Resumed
-                } else {
-                    ServingEvent::Admitted
-                });
-                self.index.insert(id, Phase::Running);
+                let cause = Cause::AdmitParked { units };
+                self.transition(q.core.spec.id, &q.core.handle, &mut q.progress, cause);
                 self.running.push(SchedSeq {
                     core: q.core,
                     state: swap.state,
@@ -2081,11 +2105,7 @@ impl Scheduler {
                     fed: swap.fed,
                     generated: q.generated,
                     last_token: swap.last_token,
-                    progress: RequestProgress {
-                        ever_admitted: true,
-                        trace_mark: self.scfg.tracer.now(),
-                        ..q.progress
-                    },
+                    progress: q.progress,
                 });
                 continue;
             }
@@ -2130,47 +2150,26 @@ impl Scheduler {
                 }
                 break; // wait for running sequences to finish or be preempted
             }
-            let q = self.queue.pop_front().expect("front checked");
+            let mut q = self.queue.pop_front().expect("front checked");
             let (cached, mut state) = self.seeded_state(&q.core.prompt, &q.core.spec.sparsity);
             state.set_sparsity_schedule(q.core.spec.sparsity.clone());
             let id = q.core.spec.id;
-            if self.scfg.tracer.is_enabled() {
-                self.scfg.tracer.span(
-                    "queued",
-                    "scheduler",
-                    lane::SCHEDULER,
-                    id,
-                    q.progress.trace_mark,
-                    &[],
-                );
-                let name = if q.progress.ever_admitted {
-                    "resume"
-                } else {
-                    "admit"
-                };
+            self.transition(
+                id,
+                &q.core.handle,
+                &mut q.progress,
+                Cause::AdmitFresh { cached },
+            );
+            if cached > 0 {
                 self.scfg.tracer.instant(
-                    name,
-                    "scheduler",
+                    "prefix.hit",
+                    "prefix",
                     lane::SCHEDULER,
                     id,
-                    &[("cached", cached as u64)],
+                    &[("tokens", cached as u64)],
                 );
-                if cached > 0 {
-                    self.scfg.tracer.instant(
-                        "prefix.hit",
-                        "prefix",
-                        lane::SCHEDULER,
-                        id,
-                        &[("tokens", cached as u64)],
-                    );
-                }
             }
-            q.core.handle.push(if q.progress.ever_admitted {
-                ServingEvent::Resumed
-            } else {
-                ServingEvent::Admitted
-            });
-            self.index.insert(id, Phase::Running);
+            q.progress.cached_tokens = q.progress.cached_tokens.max(cached);
             self.running.push(SchedSeq {
                 generated: q.generated.clone(),
                 resume_feed: q.generated,
@@ -2178,12 +2177,7 @@ impl Scheduler {
                 state,
                 fed: cached,
                 last_token: None,
-                progress: RequestProgress {
-                    cached_tokens: q.progress.cached_tokens.max(cached),
-                    ever_admitted: true,
-                    trace_mark: self.scfg.tracer.now(),
-                    ..q.progress
-                },
+                progress: q.progress,
             });
         }
         // Resumed sequences have old (small) ranks; keep the running list in
@@ -2409,7 +2403,7 @@ impl Scheduler {
                         budget = budget.saturating_sub(boundary);
                         self.maybe_donate(i);
                         if self.running[i].fed == self.running[i].feed_len() {
-                            self.finish_feed(i, &out.logits, now);
+                            self.emit_token(i, greedy_next_token(&out.logits), now);
                             continue;
                         }
                     }
@@ -2421,8 +2415,14 @@ impl Scheduler {
                         self.running[i].state.release(&mut self.pool);
                         self.running[i].fed = 0;
                         if self.running.len() == 1 && self.queue.is_empty() {
-                            let seq = self.running.remove(i);
-                            self.finish_rejected(seq.core, RejectReason::TooLarge);
+                            let mut seq = self.running.remove(i);
+                            let cause = Cause::Reject(RejectReason::TooLarge);
+                            self.transition(
+                                seq.core.spec.id,
+                                &seq.core.handle,
+                                &mut seq.progress,
+                                cause,
+                            );
                         }
                         continue;
                     }
@@ -2498,7 +2498,7 @@ impl Scheduler {
                         budget -= n;
                         self.maybe_donate(i);
                         if self.running[i].fed == self.running[i].feed_len() {
-                            self.finish_feed(i, &out.logits, now);
+                            self.emit_token(i, greedy_next_token(&out.logits), now);
                             break;
                         }
                     }
@@ -2507,7 +2507,7 @@ impl Scheduler {
                         // discard the partially-written cell and replay later.
                         // Always the replay path: the state is unclean and must
                         // not be parked for swap-resume.
-                        self.preempt_index_replay(i);
+                        self.preempt(i, PreemptionPolicy::Replay);
                         break;
                     }
                 }
@@ -2638,22 +2638,10 @@ impl Scheduler {
                     // Reservation makes this unreachable in practice; keep the
                     // conservative fallback anyway. Replay, never swap: the
                     // failed step left the state partially written.
-                    self.preempt_index_replay(i);
+                    self.preempt(i, PreemptionPolicy::Replay);
                 }
             }
         }
-    }
-
-    /// The feed (prompt + resume) is fully consumed: the last logits determine the
-    /// next token to emit.
-    fn finish_feed(&mut self, i: usize, last_logits: &[f32], now: u64) {
-        let next = greedy_next_token(last_logits);
-        if self.running[i].core.spec.max_new_tokens == 0 {
-            let seq = self.running.remove(i);
-            self.complete(seq, FinishReason::Length);
-            return;
-        }
-        self.emit_token(i, next, now);
     }
 
     /// Records a newly generated token for running sequence `i`: streams the
@@ -2735,29 +2723,13 @@ impl Scheduler {
             }
             _ => seq.generated,
         };
-        if self.scfg.tracer.is_enabled() {
-            let id = seq.core.spec.id;
-            self.scfg.tracer.span(
-                "running",
-                "scheduler",
-                lane::SCHEDULER,
-                id,
-                seq.progress.trace_mark,
-                &[],
-            );
-            self.scfg.tracer.instant(
-                "finish",
-                "scheduler",
-                lane::SCHEDULER,
-                id,
-                &[("tokens", output.len() as u64)],
-            );
-        }
+        let id = seq.core.spec.id;
+        let tokens = output.len();
         let p = seq.progress;
         let ttft_work = p.first_token_work.map_or(0, |first| first - p.submit_work);
         let deadline = seq.core.spec.deadline_work_tokens;
         self.report.request_metrics.push(RequestMetrics {
-            id: seq.core.spec.id,
+            id,
             class: seq.core.spec.class,
             finish: reason,
             ttft_iters: p.first_token_iter.map_or(0, |first| first - p.submit_iter),
@@ -2765,7 +2737,7 @@ impl Scheduler {
             decode_span_iters: p
                 .first_token_iter
                 .map_or(0, |first| p.last_token_iter - first),
-            tokens: output.len(),
+            tokens,
             preemptions: p.preemptions,
             cached_prompt_tokens: p.cached_tokens,
             deadline_work_tokens: deadline,
@@ -2777,32 +2749,28 @@ impl Scheduler {
             conversation.extend_from_slice(&output);
             self.sessions.insert(sid, conversation);
         }
-        seq.core.handle.push(ServingEvent::Finished {
+        let cause = Cause::Finish {
             reason,
-            tokens: output.clone(),
-        });
-        self.index.insert(
-            seq.core.spec.id,
-            Phase::Finished(self.report.completed.len()),
-        );
+            tokens: output,
+        };
+        self.transition(id, &seq.core.handle, &mut seq.progress, cause);
         // Join bookkeeping: a finishing branch may resolve its fork group,
         // in which case the policy's losers get their cancel flags now and
         // are cancelled (with prefix donation) at the next step boundary.
         let joins_before = self.dag.stats().joins;
-        let losers = self.dag.on_finished(seq.core.spec.id, output.len());
+        let losers = self.dag.on_finished(id, tokens);
         if self.dag.stats().joins > joins_before {
             self.scfg.tracer.instant(
                 "join",
                 "dag",
                 lane::DAG,
-                seq.core.spec.id,
+                id,
                 &[("losers", losers.len() as u64)],
             );
         }
-        for id in losers {
-            self.flag_branch_cancel(id);
+        for loser in losers {
+            self.flag_branch_cancel(loser);
         }
-        self.report.completed.push((seq.core.spec.id, output));
     }
 
     /// Chooses the preemption victim among running sequences whose rank is
@@ -2864,98 +2832,56 @@ impl Scheduler {
 
     /// Preempts running sequence `i` under the configured policy. The sequence
     /// must be at a clean step boundary (nothing half-written) — the unclean
-    /// OOM fallbacks call [`Scheduler::preempt_index_replay`] directly.
-    fn preempt_index(&mut self, i: usize) {
-        match self.scfg.preemption {
-            PreemptionPolicy::Replay => self.preempt_index_replay(i),
-            PreemptionPolicy::Swap => self.preempt_index_swap(i),
-        }
-    }
-
-    /// Replay preemption: releases every page sequence `i` holds and re-queues
-    /// it with its generation progress, to be re-fed later.
-    fn preempt_index_replay(&mut self, i: usize) {
-        let mut seq = self.running.remove(i);
-        seq.state.release(&mut self.pool);
-        self.report.preemptions += 1;
-        let id = seq.core.spec.id;
-        self.scfg.tracer.span(
-            "running",
-            "scheduler",
-            lane::SCHEDULER,
-            id,
-            seq.progress.trace_mark,
-            &[],
-        );
-        self.scfg
-            .tracer
-            .instant("preempt", "scheduler", lane::SCHEDULER, id, &[("swap", 0)]);
-        seq.core.handle.push(ServingEvent::Preempted {
-            policy: PreemptionPolicy::Replay,
-        });
-        self.index.insert(id, Phase::Queued);
-        self.enqueue(QueuedSeq {
-            core: seq.core,
-            generated: seq.generated,
-            swap: None,
-            progress: RequestProgress {
-                preemptions: seq.progress.preemptions + 1,
-                trace_mark: self.scfg.tracer.now(),
-                ..seq.progress
-            },
-        });
-    }
-
-    /// Swap preemption: demotes every sole-owned page sequence `i` holds to
-    /// the cold tier (pages co-owned with the prefix cache or other sequences
-    /// stay hot for their readers) and parks the intact sequence state in the
-    /// queue. Resume is an accounted promotion instead of a replay.
+    /// OOM fallbacks preempt with [`PreemptionPolicy::Replay`] directly.
     ///
-    /// Drop-and-replay is the final fallback: when a bounded host (with no
-    /// nvme below it) refuses the *entire* swap-out — nothing demoted while
-    /// the victim still holds sole-owned hot pages — parking the state would
-    /// relieve no hot pressure at all, so the preemption degrades to
-    /// [`Scheduler::preempt_index_replay`] and releases the pages instead.
-    /// A partially refused swap-out still parks: every page that did move is
-    /// a hot slot relieved, and the remainder stays hot for a cheap resume.
-    fn preempt_index_swap(&mut self, i: usize) {
-        let (moved, _) = self.running[i].state.demote_resident(&mut self.pool);
-        if moved == 0 && self.running[i].state.sole_owned_hot_pages(&self.pool) > 0 {
-            self.preempt_index_replay(i);
-            return;
+    /// Swap demotes every sole-owned page the sequence holds to the cold tier
+    /// (pages co-owned with the prefix cache or other sequences stay hot for
+    /// their readers) and parks the intact sequence state in the queue;
+    /// resume is an accounted promotion instead of a replay. Drop-and-replay
+    /// is the final fallback: when a bounded host (with no nvme below it)
+    /// refuses the *entire* swap-out — nothing demoted while the victim still
+    /// holds sole-owned hot pages — parking the state would relieve no hot
+    /// pressure at all, so the preemption degrades to replay and releases
+    /// the pages instead. A partially refused swap-out still parks: every
+    /// page that did move is a hot slot relieved, and the remainder stays
+    /// hot for a cheap resume.
+    fn preempt_index(&mut self, i: usize) {
+        let mut policy = self.scfg.preemption;
+        if policy == PreemptionPolicy::Swap {
+            let state = &mut self.running[i].state;
+            let (moved, _) = state.demote_resident(&mut self.pool);
+            if moved == 0 && state.sole_owned_hot_pages(&self.pool) > 0 {
+                policy = PreemptionPolicy::Replay;
+            }
         }
-        let seq = self.running.remove(i);
-        self.report.preemptions += 1;
-        let id = seq.core.spec.id;
-        self.scfg.tracer.span(
-            "running",
-            "scheduler",
-            lane::SCHEDULER,
-            id,
-            seq.progress.trace_mark,
-            &[],
-        );
-        self.scfg
-            .tracer
-            .instant("preempt", "scheduler", lane::SCHEDULER, id, &[("swap", 1)]);
-        seq.core.handle.push(ServingEvent::Preempted {
-            policy: PreemptionPolicy::Swap,
-        });
-        self.index.insert(id, Phase::Queued);
-        self.enqueue(QueuedSeq {
-            core: seq.core,
-            generated: seq.generated,
-            swap: Some(SwappedSeq {
+        self.preempt(i, policy);
+    }
+
+    /// Re-queues running sequence `i` with its generation progress: under
+    /// [`PreemptionPolicy::Replay`] its pages are released to be re-fed
+    /// later, under [`PreemptionPolicy::Swap`] its (already demoted) state
+    /// is parked for promotion.
+    fn preempt(&mut self, i: usize, policy: PreemptionPolicy) {
+        let mut seq = self.running.remove(i);
+        let swap = match policy {
+            PreemptionPolicy::Replay => {
+                seq.state.release(&mut self.pool);
+                None
+            }
+            PreemptionPolicy::Swap => Some(SwappedSeq {
                 state: seq.state,
                 fed: seq.fed,
                 resume_feed: seq.resume_feed,
                 last_token: seq.last_token,
             }),
-            progress: RequestProgress {
-                preemptions: seq.progress.preemptions + 1,
-                trace_mark: self.scfg.tracer.now(),
-                ..seq.progress
-            },
+        };
+        let cause = Cause::Preempt(policy);
+        self.transition(seq.core.spec.id, &seq.core.handle, &mut seq.progress, cause);
+        self.enqueue(QueuedSeq {
+            core: seq.core,
+            generated: seq.generated,
+            swap,
+            progress: seq.progress,
         });
     }
 
@@ -3018,93 +2944,12 @@ impl Scheduler {
     }
 }
 
-/// Multi-sequence serving engine over one shared page pool.
-///
-/// Compatibility facade over [`Scheduler`]: monolithic prefill (unbounded chunk)
-/// and conservative full-footprint admission, which is the original FCFS
-/// continuous-batching behaviour. New code that wants chunked prefill,
-/// preemption, or SLO classes should construct a [`Scheduler`] directly.
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-/// use lserve_core::{EngineConfig, Request, ServingEngine};
-/// use lserve_model::{ModelConfig, ModelWeights};
-///
-/// let weights = Arc::new(ModelWeights::random(&ModelConfig::tiny(), 3));
-/// let mut srv = ServingEngine::new(weights, EngineConfig::lserve_fp16(), 2048);
-/// srv.submit(Request { id: 1, prompt: vec![1, 2, 3], max_new_tokens: 4 });
-/// let report = srv.run_to_completion(10_000);
-/// assert_eq!(report.completed.len(), 1);
-/// ```
-#[derive(Debug)]
-pub struct ServingEngine {
-    inner: Scheduler,
-}
-
-impl ServingEngine {
-    /// Creates a serving engine whose shared pool holds `pool_pages` physical pages
-    /// (the device-memory budget).
-    pub fn new(weights: Arc<ModelWeights>, cfg: EngineConfig, pool_pages: usize) -> Self {
-        let exec = Arc::new(ModelExecutor::new(weights, cfg));
-        let scfg = SchedulerConfig {
-            chunk_tokens: usize::MAX,
-            max_batch: usize::MAX,
-            admission: AdmissionPolicy::FullFootprint,
-            prefix_cache: false,
-            ..SchedulerConfig::from_env(pool_pages)
-        };
-        Self {
-            inner: Scheduler::new(exec, scfg),
-        }
-    }
-
-    /// Enqueues a request (a flat [`Request`] or a full [`RequestSpec`]) and
-    /// returns its lifecycle handle.
-    pub fn submit(&mut self, req: impl Into<RequestSpec>) -> RequestHandle {
-        self.inner.submit(req)
-    }
-
-    /// Requests waiting for admission.
-    pub fn queued(&self) -> usize {
-        self.inner.queued()
-    }
-
-    /// Sequences currently decoding.
-    pub fn running(&self) -> usize {
-        self.inner.running()
-    }
-
-    /// One scheduler iteration: admit what fits, then advance every running
-    /// sequence by one decode step (continuous batching).
-    pub fn step(&mut self) {
-        self.inner.step();
-    }
-
-    /// Runs until every request completes or `max_steps` scheduler iterations
-    /// pass. Returns the report (sorted by request id).
-    pub fn run_to_completion(&mut self, max_steps: u64) -> ServingReport {
-        self.inner.run_to_completion(max_steps)
-    }
-
-    /// Pages currently in use in the shared pool.
-    pub fn pool_in_use(&self) -> usize {
-        self.inner.pool_in_use()
-    }
-
-    /// Lifecycle state of request `id` (see [`Scheduler::status`]).
-    pub fn status(&self, id: u64) -> Option<RequestStatus> {
-        self.inner.status(id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Engine;
     use lserve_kvcache::StreamingWindow;
-    use lserve_model::ModelConfig;
+    use lserve_model::{ModelConfig, ModelWeights};
 
     fn weights() -> Arc<ModelWeights> {
         Arc::new(ModelWeights::random(&ModelConfig::tiny(), 5))
@@ -3118,9 +2963,22 @@ mod tests {
         Scheduler::new(Arc::new(ModelExecutor::new(weights(), cfg)), scfg)
     }
 
+    /// A scheduler with monolithic prefill and conservative FCFS admission:
+    /// unbounded chunk and batch, full-footprint admission, no prefix cache.
+    fn monolithic(weights: Arc<ModelWeights>, cfg: EngineConfig, pool_pages: usize) -> Scheduler {
+        let scfg = SchedulerConfig {
+            chunk_tokens: usize::MAX,
+            max_batch: usize::MAX,
+            admission: AdmissionPolicy::FullFootprint,
+            prefix_cache: false,
+            ..SchedulerConfig::from_env(pool_pages)
+        };
+        Scheduler::new(Arc::new(ModelExecutor::new(weights, cfg)), scfg)
+    }
+
     #[test]
     fn single_request_completes() {
-        let mut srv = ServingEngine::new(weights(), EngineConfig::lserve_fp16(), 2048);
+        let mut srv = monolithic(weights(), EngineConfig::lserve_fp16(), 2048);
         srv.submit(request(1, 8, 5));
         let r = srv.run_to_completion(1000);
         assert_eq!(r.completed.len(), 1);
@@ -3132,7 +2990,7 @@ mod tests {
     #[test]
     fn serving_output_matches_standalone_engine() {
         let w = weights();
-        let mut srv = ServingEngine::new(Arc::clone(&w), EngineConfig::dense(), 4096);
+        let mut srv = monolithic(Arc::clone(&w), EngineConfig::dense(), 4096);
         srv.submit(request(1, 6, 6));
         let r = srv.run_to_completion(1000);
         let cfg = EngineConfig::dense();
@@ -3144,7 +3002,7 @@ mod tests {
 
     #[test]
     fn batch_of_requests_all_complete() {
-        let mut srv = ServingEngine::new(weights(), EngineConfig::lserve_fp16(), 8192);
+        let mut srv = monolithic(weights(), EngineConfig::lserve_fp16(), 8192);
         for id in 0..6 {
             srv.submit(request(id, 6 + id as usize, 4));
         }
@@ -3156,7 +3014,7 @@ mod tests {
 
     #[test]
     fn oversized_request_rejected_not_deadlocked() {
-        let mut srv = ServingEngine::new(weights(), EngineConfig::dense(), 16);
+        let mut srv = monolithic(weights(), EngineConfig::dense(), 16);
         let h1 = srv.submit(request(1, 512, 4)); // needs ~40 pages, can never fit in 16
         srv.submit(request(2, 4, 2));
         let r = srv.run_to_completion(1000);
@@ -3175,7 +3033,7 @@ mod tests {
     #[test]
     fn status_tracks_request_lifecycle() {
         // 24 pages: request 1 (est. 14 pages) fits, request 2 (est. 32) never can.
-        let mut srv = ServingEngine::new(weights(), EngineConfig::lserve_fp16(), 24);
+        let mut srv = monolithic(weights(), EngineConfig::lserve_fp16(), 24);
         assert_eq!(srv.status(1), None);
         srv.submit(request(1, 4, 20));
         srv.submit(request(2, 600, 4)); // can never fit: rejected at admission
@@ -3195,7 +3053,7 @@ mod tests {
 
     #[test]
     fn degenerate_specs_rejected_at_submit_not_stuck() {
-        let mut srv = ServingEngine::new(weights(), EngineConfig::lserve_fp16(), 2048);
+        let mut srv = monolithic(weights(), EngineConfig::lserve_fp16(), 2048);
         let h_empty = srv.submit(request(1, 0, 3)); // empty prompt
         srv.submit(request(2, 4, 3));
         let h_zero = srv.submit(request(3, 4, 0)); // nothing to generate
@@ -3233,7 +3091,7 @@ mod tests {
             let m = &w.config;
             m.num_layers * m.num_kv_heads * (cfg.paging.pages_for(40) + 1)
         };
-        let mut srv = ServingEngine::new(w, cfg, one_seq_pages + 4);
+        let mut srv = monolithic(w, cfg, one_seq_pages + 4);
         srv.submit(request(1, 16, 8));
         srv.submit(request(2, 16, 8));
         let r = srv.run_to_completion(10_000);
@@ -3281,7 +3139,7 @@ mod tests {
 
     #[test]
     fn continuous_batching_interleaves() {
-        let mut srv = ServingEngine::new(weights(), EngineConfig::lserve_fp16(), 8192);
+        let mut srv = monolithic(weights(), EngineConfig::lserve_fp16(), 8192);
         srv.submit(request(1, 4, 10));
         srv.submit(request(2, 4, 10));
         srv.step();
@@ -3331,7 +3189,7 @@ mod tests {
         // at this scale).
         let w = weights();
         let cfg = EngineConfig::dense();
-        let mut mono = ServingEngine::new(Arc::clone(&w), cfg.clone(), 4096);
+        let mut mono = monolithic(Arc::clone(&w), cfg.clone(), 4096);
         mono.submit(request(7, 24, 8));
         let want = mono.run_to_completion(10_000).completed[0].1.clone();
 
@@ -3788,7 +3646,7 @@ mod tests {
     // ------------------------------------------------------------------
 
     #[test]
-    fn spec_builder_and_request_conversion() {
+    fn spec_builder_sets_every_field() {
         let spec = RequestSpec::new(3, vec![1, 2])
             .max_new_tokens(9)
             .class(SloClass::BestEffort)
@@ -3802,13 +3660,6 @@ mod tests {
         assert_eq!(spec.stop_tokens, vec![5]);
         assert_eq!(spec.stop_sequences, vec![vec![6, 7]]);
         assert_eq!(spec.session, Some(11));
-        let from_req: RequestSpec = Request {
-            id: 4,
-            prompt: vec![9],
-            max_new_tokens: 3,
-        }
-        .into();
-        assert_eq!(from_req, RequestSpec::new(4, vec![9]).max_new_tokens(3));
     }
 
     #[test]

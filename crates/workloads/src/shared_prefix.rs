@@ -8,8 +8,8 @@
 //! is benchable end to end with deterministic, seeded token streams.
 //!
 //! The generators emit plain `(prompt, max_new_tokens)` specs rather than serving
-//! `Request`s: this crate sits below `lserve-core`, so serving layers wrap the
-//! specs in their own request type (see `examples/serving_simulation.rs`).
+//! `RequestSpec`s: this crate sits below `lserve-core`, so serving layers wrap
+//! the specs in their own request type (see `examples/serving_simulation.rs`).
 
 use lserve_tensor::SeededGaussian;
 

@@ -3,13 +3,29 @@
 
 use std::sync::Arc;
 
-use lserve::core::{Engine, EngineConfig, RequestSpec, SelectorKind, ServingEngine};
+use lserve::core::{
+    AdmissionPolicy, Engine, EngineConfig, ModelExecutor, RequestSpec, Scheduler, SchedulerConfig,
+    SelectorKind,
+};
 use lserve::kvcache::PagingConfig;
 use lserve::model::{greedy_next_token, reference_forward_full, ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
 
 fn weights(seed: u64) -> Arc<ModelWeights> {
     Arc::new(ModelWeights::random(&ModelConfig::tiny(), seed))
+}
+
+/// A scheduler with monolithic prefill and conservative FCFS admission:
+/// unbounded chunk and batch, full-footprint admission, no prefix cache.
+fn monolithic(w: Arc<ModelWeights>, cfg: EngineConfig, pool_pages: usize) -> Scheduler {
+    let scfg = SchedulerConfig {
+        chunk_tokens: usize::MAX,
+        max_batch: usize::MAX,
+        admission: AdmissionPolicy::FullFootprint,
+        prefix_cache: false,
+        ..SchedulerConfig::from_env(pool_pages)
+    };
+    Scheduler::new(Arc::new(ModelExecutor::new(w, cfg)), scfg)
 }
 
 fn generate(cfg: EngineConfig, w: &Arc<ModelWeights>, prompt: &[u32], n: usize) -> Vec<u32> {
@@ -141,7 +157,7 @@ fn serving_matches_single_engine_for_every_policy() {
         let w = weights(6);
         let prompt: Vec<u32> = (0..20).map(|i| (i % 90) as u32).collect();
         let standalone = generate(cfg.clone(), &w, &prompt, 10);
-        let mut srv = ServingEngine::new(Arc::clone(&w), cfg, 4096);
+        let mut srv = monolithic(Arc::clone(&w), cfg, 4096);
         srv.submit(RequestSpec::new(9, prompt.clone()).max_new_tokens(10));
         let report = srv.run_to_completion(10_000);
         assert_eq!(report.completed[0].1, standalone);
@@ -151,7 +167,7 @@ fn serving_matches_single_engine_for_every_policy() {
 #[test]
 fn serving_under_pressure_completes_everything() {
     let w = weights(7);
-    let mut srv = ServingEngine::new(Arc::clone(&w), EngineConfig::lserve_fp16(), 200);
+    let mut srv = monolithic(Arc::clone(&w), EngineConfig::lserve_fp16(), 200);
     for id in 0..10 {
         srv.submit(
             RequestSpec::new(id, (0..16 + id as usize).map(|i| (i % 90) as u32).collect())

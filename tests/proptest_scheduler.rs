@@ -14,11 +14,12 @@ use std::sync::Arc;
 
 use lserve::core::{
     sequence_pages_estimate, AdmissionPolicy, EngineConfig, ModelExecutor, PreemptionPolicy,
-    RequestSpec, Scheduler, SchedulerConfig, ServingEvent,
+    RejectReason, RequestSpec, RequestStatus, Scheduler, SchedulerConfig, ServingEvent,
 };
 use lserve::kvcache::PagingConfig;
 use lserve::model::{ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
+use lserve::trace::{lane, EventKind, Tracer};
 use proptest::prelude::*;
 
 fn weights(seed: u64) -> Arc<ModelWeights> {
@@ -641,6 +642,14 @@ proptest! {
     /// every `Resumed` preceded by a matching `Preempted`, no token events
     /// while preempted), exactly one terminal event arrives and it is last,
     /// and the streamed tokens reassemble the terminal event's output.
+    ///
+    /// The trace, the handle and `status` tell the same lifecycle: with an
+    /// invalid spec (rejected at submit) and an oversized one (rejected at
+    /// admission) in the mix, every request's scheduler-lane lifecycle
+    /// instants match its handle's state-change events one-for-one and in
+    /// order, `status` agrees with the terminal event, and one `queued` or
+    /// `running` span closes per phase the request entered. A duplicate-id
+    /// submit only gets its rejection event: its lane is the original's.
     #[test]
     fn event_streams_follow_lifecycle_order(
         wseed in 0u64..20,
@@ -675,17 +684,34 @@ proptest! {
         } else {
             PreemptionPolicy::Replay
         };
+        let pool_pages = scfg.pool_pages;
+        let tracer = Tracer::ring(1 << 16);
+        scfg.tracer = tracer.clone();
         let mut sched = Scheduler::new(
-            Arc::new(ModelExecutor::new(Arc::clone(&w), cfg)),
+            Arc::new(ModelExecutor::new(Arc::clone(&w), cfg.clone())),
             scfg,
         );
-        let handles: Vec<_> = requests.iter().map(|r| sched.submit(r.clone())).collect();
+        let mut handles: Vec<_> = requests.iter().map(|r| sched.submit(r.clone())).collect();
+        let duplicate = sched.submit(RequestSpec::new(0, vec![1, 2, 3]).max_new_tokens(2));
+        // Rejected at submit: an empty prompt.
+        handles.push(sched.submit(RequestSpec::new(3, Vec::new()).max_new_tokens(4)));
+        // Rejected at admission: the footprint can never fit the pool.
+        let too_large = RequestSpec::new(4, (0..400).map(|t| (t % 90) as u32).collect())
+            .max_new_tokens(6);
+        prop_assert!(estimate(&cfg, &w.config, 406) > pool_pages);
+        handles.push(sched.submit(too_large));
         if cancel_pick < 3 {
             sched.step();
             sched.step();
             handles[cancel_pick].cancel();
         }
         sched.run_to_completion(200_000);
+        prop_assert_eq!(
+            duplicate.drain_events(),
+            vec![ServingEvent::Rejected { reason: RejectReason::DuplicateId }]
+        );
+        let (trace, dropped) = tracer.drain();
+        prop_assert_eq!(dropped, 0);
         for handle in &handles {
             prop_assert!(handle.is_terminal(), "request {} never terminated", handle.id());
             let events = handle.drain_events();
@@ -747,6 +773,75 @@ proptest! {
                 }
             }
             prop_assert!(resumed <= preempted);
+
+            let id = handle.id();
+            let lane_events = || {
+                trace
+                    .iter()
+                    .filter(move |e| e.pid == lane::SCHEDULER && e.tid == id)
+            };
+            let instants: Vec<(String, Vec<(&str, u64)>)> = lane_events()
+                .filter(|e| e.kind == EventKind::Instant)
+                .filter(|e| {
+                    ["admit", "resume", "preempt", "finish", "cancel", "reject"]
+                        .contains(&e.name.as_ref())
+                })
+                .map(|e| (e.name.to_string(), e.args.clone()))
+                .collect();
+            let expected: Vec<&str> = events
+                .iter()
+                .filter_map(|e| match e {
+                    ServingEvent::Admitted => Some("admit"),
+                    ServingEvent::Resumed => Some("resume"),
+                    ServingEvent::Preempted { .. } => Some("preempt"),
+                    ServingEvent::Finished { .. } => Some("finish"),
+                    ServingEvent::Cancelled { .. } => Some("cancel"),
+                    ServingEvent::Rejected { .. } => Some("reject"),
+                    ServingEvent::FirstToken { .. } | ServingEvent::Token { .. } => None,
+                })
+                .collect();
+            let names: Vec<&str> = instants.iter().map(|(n, _)| n.as_str()).collect();
+            prop_assert_eq!(names, expected, "request {} trace vs handle lifecycle", id);
+            let swaps: Vec<u64> = instants
+                .iter()
+                .filter(|(n, _)| n == "preempt")
+                .map(|(_, args)| args[0].1)
+                .collect();
+            let policies: Vec<u64> = events
+                .iter()
+                .filter_map(|e| match e {
+                    ServingEvent::Preempted { policy } => {
+                        Some(u64::from(*policy == PreemptionPolicy::Swap))
+                    }
+                    _ => None,
+                })
+                .collect();
+            prop_assert_eq!(swaps, policies, "request {} preempt policies", id);
+
+            let status = sched.status(id);
+            match events.last().unwrap() {
+                ServingEvent::Finished { tokens, .. } => {
+                    prop_assert_eq!(status, Some(RequestStatus::Finished(tokens.clone())));
+                }
+                ServingEvent::Cancelled { tokens } => {
+                    prop_assert_eq!(status, Some(RequestStatus::Cancelled(tokens.clone())));
+                }
+                ServingEvent::Rejected { .. } => {
+                    prop_assert_eq!(status, Some(RequestStatus::Rejected));
+                }
+                other => prop_assert!(false, "non-terminal last event {:?}", other),
+            }
+
+            // Queued at submit (unless rejected there) and after every
+            // preemption; running after every admission or resume.
+            let rejected_at_submit = events
+                == [ServingEvent::Rejected { reason: RejectReason::Invalid }];
+            let phases = usize::from(!rejected_at_submit) + preempted + admitted + resumed;
+            let spans = lane_events()
+                .filter(|e| e.kind == EventKind::Span)
+                .filter(|e| e.name == "queued" || e.name == "running")
+                .count();
+            prop_assert_eq!(spans, phases, "request {} phase spans", id);
         }
     }
 }
