@@ -1,17 +1,16 @@
-//! Fused layer-level hybrid attention (§3.2 prefill dataflow, §3.6 decode kernel).
+//! Fused layer-level hybrid prefill attention (§3.2 prefill dataflow, §3.6 kernel).
 //!
 //! One call processes every head of a layer: dense (retrieval) heads with full causal
-//! or page-selected attention and streaming heads with the Λ pattern, mirroring the
-//! single fused CUDA kernel that "enables different sparsity patterns to be applied
-//! independently on each head". GQA's query→KV head mapping (`h_kv = h / n`, Eq. 1)
-//! is applied here.
+//! or dynamic block-sparse attention and streaming heads with the Λ pattern, mirroring
+//! the single fused CUDA kernel that "enables different sparsity patterns to be
+//! applied independently on each head". GQA's query→KV head mapping
+//! (`h_kv = h / n`, Eq. 1) is applied here. Decode's per-layer counterpart is the
+//! executor's shard set over [`crate::parallel::run_decode_shard`].
 
-use lserve_kvcache::{LayerKvCache, PagePool};
 use lserve_tensor::Matrix;
 
-use crate::decode::DecodeStats;
 use crate::dynamic::build_dynamic_prefill_mask;
-use crate::parallel::{run_decode_shard, run_sharded, BalanceStats, DecodeShard};
+use crate::parallel::{run_placed, BalanceStats};
 use crate::pattern::{DensePattern, StreamingPattern};
 use crate::prefill::{prefill_attention, PrefillStats};
 
@@ -110,17 +109,19 @@ struct PrefillShard {
     stats: PrefillStats,
 }
 
-/// Sharded variant of [`fused_prefill_layer`] / [`fused_prefill_layer_dynamic`]:
-/// each query head is one shard, executed across up to `threads` scoped worker
-/// threads with an LPT assignment by estimated tile cost (dense heads grow
-/// quadratically with the prompt, streaming heads linearly — the per-head
-/// sparsity asymmetry that makes naive partitioning unbalanced).
+/// Sharded variant of [`fused_prefill_layer`]: each query head is one shard,
+/// executed on one device across up to `threads` scoped worker threads with an
+/// LPT assignment by estimated tile cost (dense heads grow quadratically with
+/// the prompt, streaming heads linearly — the per-head sparsity asymmetry that
+/// makes naive partitioning unbalanced).
 ///
-/// `dynamic_keep` selects the MInference-style dynamic mask for dense heads
-/// (`Some(keep)`) or full causal attention (`None`). Outputs are bit-identical
-/// to the single-threaded functions for every thread count: each shard computes
-/// into its own buffer with the same kernel on the same inputs, and the scatter
-/// into the layer output runs serially in head order.
+/// `dynamic_keep` selects the MInference-style *dynamic* mask for dense heads
+/// (`Some(keep)`: each head builds its own query-aware mask keeping the
+/// diagonal, the sink blocks, and `keep` top-affinity past blocks per query
+/// tile, §4.3) or full causal attention (`None`); streaming heads run the Λ
+/// pattern either way. Outputs are bit-identical for every thread count: each
+/// shard computes into its own buffer with the same kernel on the same inputs,
+/// and the scatter into the layer output runs serially in head order.
 ///
 /// # Panics
 ///
@@ -172,7 +173,8 @@ pub fn fused_prefill_layer_threads(
         });
     }
 
-    let balance = run_sharded(threads, &costs, &mut shards, |s| {
+    let on_one_device = vec![0; shards.len()];
+    let balance = run_placed(threads, 1, &on_one_device, &costs, &mut shards, |s| {
         let (oh, stats) = match s.kind {
             HeadKind::Dense => match dynamic_keep {
                 None => prefill_attention(
@@ -221,93 +223,13 @@ pub fn fused_prefill_layer_threads(
     (out, dense_stats, stream_stats, balance)
 }
 
-/// Fused decode over all heads of one layer against the two-way paged cache.
-///
-/// `q` is the current token's query activations (`H·D`); `selections[kv]`, when
-/// `Some`, is the selected physical-page index list for dense KV head `kv` (the
-/// shorter page table from the selector); `None` means attend the full history.
-/// Selections on streaming heads are ignored — their page table *is* the sink+local
-/// selection.
-///
-/// Returns the `H·D` output and aggregate per-kind decode counters.
-///
-/// # Panics
-///
-/// Panics on shape mismatches, `selections.len() != num_kv_heads`, or if the cache
-/// disagrees with `cfg` about head count.
-pub fn fused_decode_layer(
-    pool: &PagePool,
-    cache: &LayerKvCache,
-    q: &[f32],
-    cfg: &LayerAttnConfig,
-    selections: &[Option<Vec<usize>>],
-) -> (Vec<f32>, DecodeStats, DecodeStats) {
-    let d = cfg.head_dim;
-    assert_eq!(q.len(), cfg.num_q_heads * d, "query width mismatch");
-    assert_eq!(
-        cache.num_heads(),
-        cfg.num_kv_heads,
-        "cache head count mismatch"
-    );
-    assert_eq!(
-        selections.len(),
-        cfg.num_kv_heads,
-        "selections length mismatch"
-    );
-
-    let group = cfg.group_size();
-    let mut out = vec![0.0f32; cfg.num_q_heads * d];
-    let mut dense_stats = DecodeStats::default();
-    let mut stream_stats = DecodeStats::default();
-
-    // One shard per KV head, executed serially: the degenerate (single-worker)
-    // case of the sharded decode path the executor parallelizes.
-    for (kv, out_chunk) in out.chunks_mut(group * d).enumerate() {
-        let mut shard = DecodeShard {
-            head: cache.head(kv),
-            queries: &q[kv * group * d..(kv + 1) * group * d],
-            selection: selections[kv].as_deref(),
-            head_dim: d,
-            scale: cfg.scale(),
-            out: out_chunk,
-            dense: DecodeStats::default(),
-            streaming: DecodeStats::default(),
-        };
-        run_decode_shard(pool, &mut shard);
-        dense_stats.accumulate(shard.dense);
-        stream_stats.accumulate(shard.streaming);
-    }
-    (out, dense_stats, stream_stats)
-}
-
-/// Like [`fused_prefill_layer`], but retrieval (dense) heads run MInference-style
-/// *dynamic* block sparsity instead of full causal attention: each head builds its
-/// own query-aware mask keeping the diagonal, the sink blocks, and `keep_per_tile`
-/// top-affinity past blocks per query tile (§4.3, activated for very long prompts).
-/// Streaming heads behave exactly as in the static variant.
-///
-/// # Panics
-///
-/// Same shape requirements as [`fused_prefill_layer`].
-pub fn fused_prefill_layer_dynamic(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    cfg: &LayerAttnConfig,
-    kinds: &[HeadKind],
-    keep_per_tile: usize,
-) -> (Matrix, PrefillStats, PrefillStats) {
-    let (out, dense, stream, _) =
-        fused_prefill_layer_threads(q, k, v, cfg, kinds, Some(keep_per_tile), 1);
-    (out, dense, stream)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::{decode_dense_head, decode_streaming_head};
+    use crate::decode::{decode_dense_head, decode_streaming_head, DecodeStats};
+    use crate::parallel::{run_decode_shard, DecodeShard};
     use crate::reference::causal_attention_reference;
-    use lserve_kvcache::{PagingConfig, StreamingWindow};
+    use lserve_kvcache::{LayerKvCache, PagePool, PagingConfig, StreamingWindow};
     use lserve_quant::KvPrecision;
     use lserve_tensor::SeededGaussian;
 
@@ -320,6 +242,38 @@ mod tests {
             sink_blocks: 1,
             local_blocks: 2,
         }
+    }
+
+    /// Every KV head's query group of one decode token through
+    /// [`run_decode_shard`] against the full history, serially; returns the
+    /// `H·D` output and the per-kind work counters.
+    fn decode_layer(
+        pool: &PagePool,
+        cache: &LayerKvCache,
+        q: &[f32],
+        c: &LayerAttnConfig,
+    ) -> (Vec<f32>, DecodeStats, DecodeStats) {
+        let d = c.head_dim;
+        let group = c.group_size();
+        let mut out = vec![0.0f32; q.len()];
+        let mut dense = DecodeStats::default();
+        let mut streaming = DecodeStats::default();
+        for (kv, out_chunk) in out.chunks_mut(group * d).enumerate() {
+            let mut shard = DecodeShard {
+                head: cache.head(kv),
+                queries: &q[kv * group * d..(kv + 1) * group * d],
+                selection: None,
+                head_dim: d,
+                scale: c.scale(),
+                out: out_chunk,
+                dense: DecodeStats::default(),
+                streaming: DecodeStats::default(),
+            };
+            run_decode_shard(pool, &mut shard);
+            dense.accumulate(shard.dense);
+            streaming.accumulate(shard.streaming);
+        }
+        (out, dense, streaming)
     }
 
     #[test]
@@ -391,8 +345,7 @@ mod tests {
         let q: Vec<f32> = (0..c.num_q_heads * c.head_dim)
             .map(|_| g.sample())
             .collect();
-        let selections = vec![None, None];
-        let (out, dstats, sstats) = fused_decode_layer(&pool, &cache, &q, &c, &selections);
+        let (out, dstats, sstats) = decode_layer(&pool, &cache, &q, &c);
         assert!(dstats.tokens_visited > 0 && sstats.tokens_visited > 0);
         // Check head 0 (dense) and head 2 (streaming via kv head 1) against the
         // single-head kernels.
@@ -422,11 +375,12 @@ mod tests {
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let kinds = [HeadKind::Dense, HeadKind::Dense];
-        let (out, dense, _) = fused_prefill_layer_dynamic(&q, &k, &v, &c, &kinds, 2);
+        let (out, dense, _, _) = fused_prefill_layer_threads(&q, &k, &v, &c, &kinds, Some(2), 1);
         assert_eq!(out.shape(), (n, c.num_q_heads * c.head_dim));
         assert!(dense.tiles_visited < dense.tiles_total_causal);
         // Enormous keep budget == dense attention exactly.
-        let (full, stats_full, _) = fused_prefill_layer_dynamic(&q, &k, &v, &c, &kinds, 1000);
+        let (full, stats_full, _, _) =
+            fused_prefill_layer_threads(&q, &k, &v, &c, &kinds, Some(1000), 1);
         let (want, _, _) = fused_prefill_layer(&q, &k, &v, &c, &kinds);
         assert_eq!(stats_full.tiles_visited, stats_full.tiles_total_causal);
         assert!(full.max_abs_diff(&want) < 1e-5);
@@ -474,7 +428,7 @@ mod tests {
         let q: Vec<f32> = (0..c.num_q_heads * c.head_dim)
             .map(|_| g.sample())
             .collect();
-        let (_, dstats, sstats) = fused_decode_layer(&pool, &cache, &q, &c, &[None, None]);
+        let (_, dstats, sstats) = decode_layer(&pool, &cache, &q, &c);
         // Dense kv head serves 2 query heads over 25 pages each; streaming <= 3 pages.
         assert_eq!(dstats.pages_visited, 50);
         assert!(sstats.pages_visited <= 6);

@@ -14,17 +14,18 @@
 //!   with per-call [`prefill::PrefillStats`] counting visited vs. total tiles (the
 //!   quantity the cost model converts to GPU time).
 //! * [`decode`] — the paged decode kernel: one query row against a page table,
-//!   optionally restricted to selected pages, reading (de)quantized pages through the
-//!   [`lserve_kvcache::PagePool`].
+//!   optionally restricted to selected pages, reading quantization-rounded pages
+//!   through the [`lserve_kvcache::PagePool`].
 //! * [`dynamic`] — MInference-style query-aware prefill block masks (§4.3): the
 //!   Eq. 2 min/max bound lifted to tiles, feeding [`pattern::MaskPattern`].
-//! * [`fused`] — the layer-level hybrid kernel of §3.6: dense and streaming heads
-//!   dispatched in one call over the two-way KV cache, GQA query→KV head mapping
-//!   included.
+//! * [`fused`] — the layer-level hybrid prefill kernel of §3.6: dense and streaming
+//!   heads dispatched in one call, GQA query→KV head mapping included. Decode's
+//!   per-layer dispatch is the [`parallel`] shard set over the two-way KV cache.
 //! * [`parallel`] — the sparsity-aware multi-threaded execution layer: per-head
-//!   attention shards, LPT cost balancing, and a scoped-thread worker pool with
-//!   work stealing (std only), bit-identical to serial execution at every thread
-//!   count.
+//!   attention shards, LPT cost balancing, and one scoped-thread worker pool with
+//!   work stealing over a head-to-device placement (std only; one device is the
+//!   degenerate placement), bit-identical to serial execution at every thread and
+//!   device count.
 
 pub mod decode;
 pub mod dynamic;
@@ -36,13 +37,8 @@ pub mod reference;
 
 pub use decode::{decode_dense_head, decode_streaming_head, DecodeStats};
 pub use dynamic::build_dynamic_prefill_mask;
-pub use fused::{
-    fused_decode_layer, fused_prefill_layer, fused_prefill_layer_dynamic,
-    fused_prefill_layer_threads, HeadKind, LayerAttnConfig,
-};
-pub use parallel::{
-    lpt_assign, run_decode_shard, run_placed, run_sharded, BalanceStats, DecodeShard, PlacedBalance,
-};
+pub use fused::{fused_prefill_layer, fused_prefill_layer_threads, HeadKind, LayerAttnConfig};
+pub use parallel::{lpt_assign, run_decode_shard, run_placed, BalanceStats, DecodeShard};
 pub use pattern::{BlockDecision, BlockPattern, DensePattern, MaskPattern, StreamingPattern};
 pub use prefill::{prefill_attention, PrefillStats};
 pub use reference::{causal_attention_reference, masked_attention_reference};

@@ -14,20 +14,24 @@
 //!   workers by their *estimated* cost (streaming ≈ resident window tokens,
 //!   dense ≈ selected/resident page tokens from the selector), the classic
 //!   `4/3`-approximate makespan heuristic.
-//! * [`run_sharded`] — scoped worker threads (no `'static` bounds, no
-//!   channels, no external deps) that drain their own LPT queue and then
-//!   *steal* unstarted shards from other workers' queues, smallest-first, so a
-//!   mispredicted straggler cannot serialize the phase.
+//! * [`run_placed`] — the one runner. Shards carry a simulated device (the
+//!   head-parallel placement); each device drains its own LPT queues with
+//!   scoped worker threads (no `'static` bounds, no channels, no external
+//!   deps) that then *steal* unstarted shards from their device peers,
+//!   smallest-first, so a mispredicted straggler cannot serialize the phase.
+//!   One device is the degenerate placement (every shard on device 0), and a
+//!   placement that yields a single worker runs inline on the caller.
 //! * [`DecodeShard`] / [`run_decode_shard`] — the unit of decode work: one KV
 //!   head's query group against its head cache, written into a caller-provided
 //!   disjoint output slice.
 //!
 //! Every shard writes only its own preallocated output slice and reads only
 //! shared immutable state (pool pages, caches, queries), so the result is
-//! bit-identical for every thread count, assignment, and steal schedule; the
-//! only synchronization is one uncontended claim per shard. Wall-clock
-//! speedup needs physical cores, but the [`BalanceStats`] cost counters give a
-//! deterministic model of the achievable parallelism either way.
+//! bit-identical for every thread count, device count, assignment, and steal
+//! schedule; the only synchronization is one uncontended claim per shard.
+//! Wall-clock speedup needs physical cores, but the [`BalanceStats`] cost
+//! counters give a deterministic model of the achievable parallelism (per
+//! worker and per device) either way.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -38,10 +42,18 @@ use lserve_kvcache::{HeadCache, PagePool};
 
 use crate::decode::{decode_dense_head, decode_streaming_head, DecodeStats};
 
-/// Measured and estimated balance of one parallel phase.
+/// Measured and modeled balance of one parallel phase, placed onto simulated
+/// devices by [`run_placed`].
+///
+/// Worker-level vectors are device-major (device 0's workers first). A phase
+/// on one device is the degenerate placement: every shard on device 0, so
+/// `device_cost == [cost_total()]`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BalanceStats {
-    /// Worker threads actually used (clamped to the shard count).
+    /// Simulated devices the phase was placed onto.
+    pub devices: usize,
+    /// Worker threads used across all devices (each device's count clamped
+    /// to its shard count; 1 when the phase ran inline on the caller).
     pub workers: usize,
     /// Shards executed.
     pub shards: u64,
@@ -51,6 +63,10 @@ pub struct BalanceStats {
     pub busy_ns: Vec<u64>,
     /// Estimated cost assigned to each worker by [`lpt_assign`].
     pub assigned_cost: Vec<u64>,
+    /// Modeled shard cost landed on each device.
+    pub device_cost: Vec<u64>,
+    /// Worker threads used by each device (0 for devices with no shards).
+    pub device_workers: Vec<usize>,
 }
 
 impl BalanceStats {
@@ -72,6 +88,22 @@ impl BalanceStats {
     /// Largest per-worker estimated cost — the phase's modeled critical path.
     pub fn cost_critical(&self) -> u64 {
         self.assigned_cost.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Busiest device's modeled cost — the phase's device-level critical path
+    /// (devices run concurrently in the model).
+    pub fn device_cost_critical(&self) -> u64 {
+        self.device_cost.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Max-over-mean device load — 1.0 is perfect balance, `devices` is
+    /// everything on one device; 1.0 when there is no load.
+    pub fn device_imbalance(&self) -> f64 {
+        let total = self.cost_total();
+        if total == 0 || self.devices == 0 {
+            return 1.0;
+        }
+        self.device_cost_critical() as f64 * self.devices as f64 / total as f64
     }
 }
 
@@ -99,46 +131,94 @@ pub fn lpt_assign(costs: &[u64], workers: usize) -> Vec<Vec<usize>> {
     queues
 }
 
-/// Runs `tasks` across up to `threads` scoped worker threads, LPT-balanced by
-/// `costs`, with work stealing as the straggler fallback.
+/// Runs `tasks` against a placement: shard `i` executes on simulated device
+/// `device_of[i]`, each device draining its own LPT-balanced queues (by
+/// `costs`) with up to `threads_per_device` scoped workers. A single device
+/// is just the placement with every shard on device 0.
 ///
 /// Each task is executed exactly once, by exactly one worker. Workers drain
-/// their own queue in descending-cost order, then scan the other queues from
-/// the *back* (smallest assigned shards first) and steal anything unstarted.
-/// Claims go through one uncontended mutex per shard; the task bodies
-/// themselves run lock-free on whatever disjoint state they own.
+/// their own queue in descending-cost order, then scan their device peers'
+/// queues from the *back* (smallest assigned shards first) and steal anything
+/// unstarted. A worker never executes another device's shard, so the modeled
+/// per-device load is exact. Claims go through one uncontended mutex per
+/// shard; the task bodies themselves run lock-free on whatever disjoint state
+/// they own.
 ///
-/// With `threads <= 1` (or a single task) everything runs serially on the
-/// calling thread in task order — the reference path the parallel schedule
-/// must match bit-for-bit.
+/// When the placement yields one worker in total (one thread per device and
+/// every shard on one device, or a single task) everything runs inline on the
+/// calling thread in task order — no spawn, and the reference path every
+/// parallel schedule must match bit-for-bit. Devices are a modeling
+/// construct: all workers are host threads, so the result is bit-identical
+/// for every device count, placement, and steal schedule.
 ///
 /// # Panics
 ///
-/// Panics if `costs.len() != tasks.len()`, or propagates a panic from `run`.
-pub fn run_sharded<T: Send, F: Fn(&mut T) + Sync>(
-    threads: usize,
+/// Panics if `devices` is zero, if `costs`/`device_of`/`tasks` lengths
+/// disagree, if any `device_of` entry is out of range, or propagates a panic
+/// from `run`.
+pub fn run_placed<T: Send, F: Fn(&mut T) + Sync>(
+    threads_per_device: usize,
+    devices: usize,
+    device_of: &[usize],
     costs: &[u64],
     tasks: &mut [T],
     run: F,
 ) -> BalanceStats {
+    assert!(devices > 0, "need at least one device");
     assert_eq!(costs.len(), tasks.len(), "one cost per shard");
-    let n = tasks.len();
-    let workers = threads.max(1).min(n.max(1));
-    if workers <= 1 {
+    assert_eq!(device_of.len(), tasks.len(), "one device per shard");
+    assert!(
+        device_of.iter().all(|&d| d < devices),
+        "shard placed on a device outside the topology"
+    );
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); devices];
+    for (i, &d) in device_of.iter().enumerate() {
+        groups[d].push(i);
+    }
+    let mut stats = BalanceStats {
+        devices,
+        workers: 1,
+        shards: tasks.len() as u64,
+        stolen: 0,
+        busy_ns: Vec::new(),
+        assigned_cost: Vec::new(),
+        device_cost: groups
+            .iter()
+            .map(|g| g.iter().map(|&i| costs[i]).sum())
+            .collect(),
+        device_workers: groups
+            .iter()
+            .map(|g| threads_per_device.max(1).min(g.len()))
+            .collect(),
+    };
+    if stats.device_workers.iter().sum::<usize>() <= 1 {
         let t0 = Instant::now();
         for t in tasks.iter_mut() {
             run(t);
         }
-        return BalanceStats {
-            workers: 1,
-            shards: n as u64,
-            stolen: 0,
-            busy_ns: vec![t0.elapsed().as_nanos() as u64],
-            assigned_cost: vec![costs.iter().sum()],
-        };
+        stats.busy_ns = vec![t0.elapsed().as_nanos() as u64];
+        stats.assigned_cost = vec![costs.iter().sum()];
+        return stats;
     }
-    let queues = lpt_assign(costs, workers);
-    let assigned_cost: Vec<u64> = queues
+    // Per-device LPT queues over global shard indices, flattened device-major
+    // so a single scoped spawn covers the whole mesh; `peers[w]` is the range
+    // of workers sharing worker `w`'s device (its steal victims).
+    let mut queues: Vec<Vec<usize>> = Vec::new();
+    let mut peers: Vec<std::ops::Range<usize>> = Vec::new();
+    for (group, &workers) in groups.iter().zip(&stats.device_workers) {
+        if group.is_empty() {
+            continue;
+        }
+        let first = queues.len();
+        let local_costs: Vec<u64> = group.iter().map(|&i| costs[i]).collect();
+        for queue in lpt_assign(&local_costs, workers) {
+            queues.push(queue.into_iter().map(|local| group[local]).collect());
+            peers.push(first..first + workers);
+        }
+    }
+    let total_workers = queues.len();
+    stats.workers = total_workers;
+    stats.assigned_cost = queues
         .iter()
         .map(|q| q.iter().map(|&i| costs[i]).sum())
         .collect();
@@ -147,14 +227,15 @@ pub fn run_sharded<T: Send, F: Fn(&mut T) + Sync>(
     // races can never run a shard twice.
     let slots: Vec<Mutex<Option<&mut T>>> = tasks.iter_mut().map(|t| Mutex::new(Some(t))).collect();
     let stolen = AtomicU64::new(0);
-    let mut busy_ns = vec![0u64; workers];
+    stats.busy_ns = vec![0u64; total_workers];
     thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (0..total_workers)
             .map(|w| {
                 let queues = &queues;
                 let slots = &slots;
                 let stolen = &stolen;
                 let run = &run;
+                let peers = peers[w].clone();
                 s.spawn(move || {
                     let t0 = Instant::now();
                     for &i in &queues[w] {
@@ -164,9 +245,12 @@ pub fn run_sharded<T: Send, F: Fn(&mut T) + Sync>(
                         }
                     }
                     // Straggler fallback: steal unstarted shards, smallest
-                    // (back of the LPT queue) first, from the nearest victim.
-                    for offset in 1..workers {
-                        let victim = (w + offset) % workers;
+                    // (back of the LPT queue) first, from the nearest peer on
+                    // this device — cross-device steals would falsify the
+                    // modeled per-device load.
+                    let k = peers.len();
+                    for offset in 1..k {
+                        let victim = peers.start + (w - peers.start + offset) % k;
                         for &i in queues[victim].iter().rev() {
                             let task = slots[i].lock().expect("shard slot poisoned").take();
                             if let Some(task) = task {
@@ -180,187 +264,11 @@ pub fn run_sharded<T: Send, F: Fn(&mut T) + Sync>(
             })
             .collect();
         for (w, h) in handles.into_iter().enumerate() {
-            busy_ns[w] = h.join().expect("attention worker panicked");
+            stats.busy_ns[w] = h.join().expect("attention worker panicked");
         }
     });
-    BalanceStats {
-        workers,
-        shards: n as u64,
-        stolen: stolen.into_inner(),
-        busy_ns,
-        assigned_cost,
-    }
-}
-
-/// Balance of one placed parallel phase: per-device modeled load on top of
-/// the flattened per-worker [`BalanceStats`].
-///
-/// Produced by [`run_placed`], which executes shards against an explicit
-/// shard → device map instead of one anonymous worker pool. Devices are
-/// simulated — they all run on the same host threads — so outputs are
-/// bit-identical to [`run_sharded`]; only the modeled accounting (which
-/// device a shard's cost lands on, which worker lane it traces into) changes.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PlacedBalance {
-    /// Simulated devices the phase was placed onto.
-    pub devices: usize,
-    /// Modeled shard cost landed on each device.
-    pub device_cost: Vec<u64>,
-    /// Worker threads used by each device (0 for devices with no shards).
-    pub device_workers: Vec<usize>,
-    /// Flattened worker-level stats, device-major: device 0's workers first.
-    pub stats: BalanceStats,
-}
-
-impl PlacedBalance {
-    /// Busiest device's modeled cost — the phase's device-level critical path
-    /// (devices run concurrently in the model).
-    pub fn device_cost_critical(&self) -> u64 {
-        self.device_cost.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Total modeled cost across devices.
-    pub fn device_cost_total(&self) -> u64 {
-        self.device_cost.iter().sum()
-    }
-
-    /// Max-over-mean device load — 1.0 is perfect balance, `devices` is
-    /// everything on one device; 1.0 when there is no load.
-    pub fn device_imbalance(&self) -> f64 {
-        let total = self.device_cost_total();
-        if total == 0 || self.devices == 0 {
-            return 1.0;
-        }
-        self.device_cost_critical() as f64 * self.devices as f64 / total as f64
-    }
-}
-
-/// Runs `tasks` against an explicit placement: shard `i` executes on
-/// simulated device `device_of[i]`, each device draining its own LPT-balanced
-/// queues with up to `threads_per_device` scoped workers and stealing only
-/// within its device (a worker never executes another device's shard, so the
-/// modeled per-device load is exact).
-///
-/// Devices are a modeling construct: all workers are host threads, every task
-/// still runs exactly once into caller-owned disjoint state, and the result
-/// is bit-identical to [`run_sharded`] for every device count, placement, and
-/// steal schedule.
-///
-/// # Panics
-///
-/// Panics if `devices` is zero, if `costs`/`device_of`/`tasks` lengths
-/// disagree, or if any `device_of` entry is out of range.
-pub fn run_placed<T: Send, F: Fn(&mut T) + Sync>(
-    threads_per_device: usize,
-    devices: usize,
-    device_of: &[usize],
-    costs: &[u64],
-    tasks: &mut [T],
-    run: F,
-) -> PlacedBalance {
-    assert!(devices > 0, "need at least one device");
-    assert_eq!(costs.len(), tasks.len(), "one cost per shard");
-    assert_eq!(device_of.len(), tasks.len(), "one device per shard");
-    assert!(
-        device_of.iter().all(|&d| d < devices),
-        "shard placed on a device outside the topology"
-    );
-    let n = tasks.len();
-    if devices == 1 {
-        let stats = run_sharded(threads_per_device, costs, tasks, run);
-        return PlacedBalance {
-            devices: 1,
-            device_cost: vec![stats.cost_total()],
-            device_workers: vec![stats.workers],
-            stats,
-        };
-    }
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); devices];
-    for (i, &d) in device_of.iter().enumerate() {
-        groups[d].push(i);
-    }
-    let device_cost: Vec<u64> = groups
-        .iter()
-        .map(|g| g.iter().map(|&i| costs[i]).sum())
-        .collect();
-    // Per-device LPT queues over global shard indices, then one flat worker
-    // list (device-major) so a single scoped spawn covers the whole mesh.
-    let mut device_workers = vec![0usize; devices];
-    let mut worker_device: Vec<usize> = Vec::new();
-    let mut queues: Vec<Vec<usize>> = Vec::new();
-    let mut device_first_worker = vec![0usize; devices];
-    for (d, group) in groups.iter().enumerate() {
-        device_first_worker[d] = queues.len();
-        if group.is_empty() {
-            continue;
-        }
-        let workers = threads_per_device.max(1).min(group.len());
-        device_workers[d] = workers;
-        let local_costs: Vec<u64> = group.iter().map(|&i| costs[i]).collect();
-        for queue in lpt_assign(&local_costs, workers) {
-            queues.push(queue.into_iter().map(|local| group[local]).collect());
-            worker_device.push(d);
-        }
-    }
-    let total_workers = queues.len();
-    let assigned_cost: Vec<u64> = queues
-        .iter()
-        .map(|q| q.iter().map(|&i| costs[i]).sum())
-        .collect();
-    let slots: Vec<Mutex<Option<&mut T>>> = tasks.iter_mut().map(|t| Mutex::new(Some(t))).collect();
-    let stolen = AtomicU64::new(0);
-    let mut busy_ns = vec![0u64; total_workers];
-    thread::scope(|s| {
-        let handles: Vec<_> = (0..total_workers)
-            .map(|w| {
-                let queues = &queues;
-                let slots = &slots;
-                let stolen = &stolen;
-                let run = &run;
-                let d = worker_device[w];
-                let dev_base = device_first_worker[d];
-                let dev_workers = device_workers[d];
-                s.spawn(move || {
-                    let t0 = Instant::now();
-                    for &i in &queues[w] {
-                        let task = slots[i].lock().expect("shard slot poisoned").take();
-                        if let Some(task) = task {
-                            run(task);
-                        }
-                    }
-                    // Steal within this device only: cross-device steals would
-                    // falsify the modeled per-device load.
-                    let local = w - dev_base;
-                    for offset in 1..dev_workers {
-                        let victim = dev_base + (local + offset) % dev_workers;
-                        for &i in queues[victim].iter().rev() {
-                            let task = slots[i].lock().expect("shard slot poisoned").take();
-                            if let Some(task) = task {
-                                stolen.fetch_add(1, Ordering::Relaxed);
-                                run(task);
-                            }
-                        }
-                    }
-                    t0.elapsed().as_nanos() as u64
-                })
-            })
-            .collect();
-        for (w, h) in handles.into_iter().enumerate() {
-            busy_ns[w] = h.join().expect("attention worker panicked");
-        }
-    });
-    PlacedBalance {
-        devices,
-        device_cost,
-        device_workers,
-        stats: BalanceStats {
-            workers: total_workers,
-            shards: n as u64,
-            stolen: stolen.into_inner(),
-            busy_ns,
-            assigned_cost,
-        },
-    }
+    stats.stolen = stolen.into_inner();
+    stats
 }
 
 /// One *(sequence × KV-head)* unit of decode attention: the KV head's query
@@ -451,12 +359,31 @@ mod tests {
     }
 
     #[test]
+    fn worker_count_clamps_to_shard_count() {
+        let mut tasks = vec![0u8; 2];
+        let stats = run_placed(16, 1, &[0, 0], &[1, 1], &mut tasks, |t| *t = 1);
+        assert_eq!(stats.workers, 2);
+        assert_eq!(stats.device_workers, vec![2]);
+        assert_eq!(tasks, vec![1, 1]);
+    }
+
+    #[test]
+    fn empty_task_list_is_fine() {
+        let mut tasks: Vec<u8> = Vec::new();
+        let stats = run_placed(4, 1, &[], &[], &mut tasks, |_| {});
+        assert_eq!(stats.shards, 0);
+        assert_eq!(stats.workers, 1, "an empty phase runs inline");
+    }
+
+    #[test]
     fn run_sharded_executes_every_task_once() {
+        // The degenerate placement: every shard on device 0, spread over
+        // 1..8 worker threads.
         for threads in [1, 2, 3, 8] {
             let mut tasks: Vec<u32> = vec![0; 37];
             let costs: Vec<u64> = (0..37).map(|i| (i % 5 + 1) as u64).collect();
             let executions = AtomicUsize::new(0);
-            let stats = run_sharded(threads, &costs, &mut tasks, |t| {
+            let stats = run_placed(threads, 1, &[0; 37], &costs, &mut tasks, |t| {
                 *t += 1;
                 executions.fetch_add(1, Ordering::Relaxed);
             });
@@ -467,28 +394,15 @@ mod tests {
             assert_eq!(stats.busy_ns.len(), stats.workers);
             assert_eq!(stats.cost_total(), costs.iter().sum::<u64>());
             assert!(stats.cost_critical() <= stats.cost_total());
+            assert_eq!(stats.device_cost, vec![stats.cost_total()]);
+            assert_eq!(stats.device_workers, vec![stats.workers]);
         }
-    }
-
-    #[test]
-    fn worker_count_clamps_to_shard_count() {
-        let mut tasks = vec![0u8; 2];
-        let stats = run_sharded(16, &[1, 1], &mut tasks, |t| *t = 1);
-        assert_eq!(stats.workers, 2);
-        assert_eq!(tasks, vec![1, 1]);
-    }
-
-    #[test]
-    fn empty_task_list_is_fine() {
-        let mut tasks: Vec<u8> = Vec::new();
-        let stats = run_sharded(4, &[], &mut tasks, |_| {});
-        assert_eq!(stats.shards, 0);
     }
 
     #[test]
     fn run_placed_executes_every_task_once_on_its_device() {
         for (devices, threads) in [(1, 1), (2, 1), (2, 3), (4, 2)] {
-            let n = 23;
+            let n = 37;
             let mut tasks: Vec<u32> = vec![0; n];
             let costs: Vec<u64> = (0..n).map(|i| (i % 7 + 1) as u64).collect();
             let device_of: Vec<usize> = (0..n).map(|i| (i * i) % devices).collect();
@@ -497,32 +411,46 @@ mod tests {
                 *t += 1;
                 executions.fetch_add(1, Ordering::Relaxed);
             });
-            assert!(tasks.iter().all(|&t| t == 1), "devices {devices}");
+            let case = format!("devices {devices} threads {threads}");
+            assert!(tasks.iter().all(|&t| t == 1), "{case}");
             assert_eq!(executions.into_inner(), n);
             assert_eq!(placed.devices, devices);
-            assert_eq!(placed.stats.shards, n as u64);
-            assert_eq!(placed.device_cost_total(), costs.iter().sum::<u64>());
+            assert_eq!(placed.shards, n as u64);
+            assert!(placed.workers <= threads.max(1) * devices, "{case}");
+            assert_eq!(placed.busy_ns.len(), placed.workers);
+            assert_eq!(placed.assigned_cost.len(), placed.workers);
+            assert_eq!(placed.cost_total(), costs.iter().sum::<u64>());
+            assert!(placed.cost_critical() <= placed.cost_total());
+            assert!(placed.cost_critical() <= placed.device_cost_critical());
             // Per-device load is exactly the sum of the shards placed there.
             for d in 0..devices {
                 let want: u64 = (0..n)
                     .filter(|&i| device_of[i] == d)
                     .map(|i| costs[i])
                     .sum();
-                assert_eq!(placed.device_cost[d], want);
+                assert_eq!(placed.device_cost[d], want, "{case}");
+            }
+            if devices == 1 {
+                assert_eq!(placed.device_imbalance(), 1.0);
+                assert_eq!(placed.device_cost_critical(), placed.cost_total());
             }
         }
     }
 
     #[test]
-    fn run_placed_matches_run_sharded_on_one_device() {
-        let mut a: Vec<u32> = vec![0; 11];
-        let mut b: Vec<u32> = vec![0; 11];
-        let costs: Vec<u64> = (0..11).map(|i| i as u64).collect();
-        let sharded = run_sharded(2, &costs, &mut a, |t| *t += 1);
-        let placed = run_placed(2, 1, &[0; 11], &costs, &mut b, |t| *t += 1);
-        assert_eq!(a, b);
-        assert_eq!(placed.stats.assigned_cost, sharded.assigned_cost);
-        assert_eq!(placed.device_imbalance(), 1.0);
+    fn one_worker_in_total_runs_inline_on_the_caller() {
+        let caller = thread::current().id();
+        for (devices, device_of) in [(1, vec![0; 5]), (3, vec![2; 5])] {
+            let mut tasks = vec![0u8; 5];
+            let placed = run_placed(1, devices, &device_of, &[4, 1, 3, 1, 2], &mut tasks, |t| {
+                assert_eq!(thread::current().id(), caller, "no worker thread spawned");
+                *t = 1;
+            });
+            assert!(tasks.iter().all(|&t| t == 1));
+            assert_eq!(placed.workers, 1);
+            assert_eq!(placed.busy_ns.len(), 1);
+            assert_eq!(placed.assigned_cost, vec![11]);
+        }
     }
 
     #[test]
@@ -540,7 +468,7 @@ mod tests {
     fn run_placed_empty_devices_and_empty_tasks_are_fine() {
         let mut tasks: Vec<u8> = Vec::new();
         let placed = run_placed(4, 3, &[], &[], &mut tasks, |_| {});
-        assert_eq!(placed.stats.shards, 0);
+        assert_eq!(placed.shards, 0);
         assert_eq!(placed.device_cost, vec![0, 0, 0]);
         assert_eq!(placed.device_imbalance(), 1.0);
     }

@@ -23,8 +23,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use lserve_attention::{
-    fused_prefill_layer_threads, lpt_assign, run_decode_shard, run_placed, run_sharded,
-    BalanceStats, DecodeShard, DecodeStats, HeadKind, LayerAttnConfig, PlacedBalance,
+    fused_prefill_layer_threads, lpt_assign, run_decode_shard, run_placed, BalanceStats,
+    DecodeShard, DecodeStats, HeadKind, LayerAttnConfig,
 };
 use lserve_costmodel::Topology;
 use lserve_kvcache::{
@@ -565,7 +565,7 @@ impl ModelExecutor {
                 dynamic_keep,
                 threads,
             );
-            exec_stats.absorb(&balance);
+            exec_stats.absorb(&balance, 0);
             if tracer.is_enabled() {
                 // The parallel phase costs its modeled critical path; worker
                 // lanes get one merged span per worker (their LPT-assigned
@@ -913,13 +913,15 @@ impl ModelExecutor {
     /// decode step, up to a prefill-grid cell for a prompt feed — and each
     /// row's result carries the logits after its **last** token.
     ///
-    /// Parallel attention executes against an explicit, caller-owned
-    /// [`ShardingPlan`]: each shard runs on its KV head's simulated device
-    /// (per-device LPT worker queues, device-local stealing), a sequence's
-    /// shards on non-home devices charge the topology's modeled interconnect
-    /// gather cost into `exec_stats` and the trace, and the plan accumulates
-    /// the per-head cost signal its rebalancer acts on. With a single-device
-    /// plan this is exactly the anonymous-pool path.
+    /// Parallel attention always executes against an explicit, caller-owned
+    /// [`ShardingPlan`] through one worker pool: each shard runs on its KV
+    /// head's simulated device (per-device LPT worker queues, device-local
+    /// stealing), a sequence's shards on non-home devices charge the
+    /// topology's modeled interconnect gather cost into `exec_stats` and the
+    /// trace, and the plan accumulates the per-head cost signal its
+    /// rebalancer acts on. A single-device plan is the degenerate placement:
+    /// every head on device 0, every sequence at home, no gather charged, and
+    /// a phase that yields one worker runs inline on the calling thread.
     ///
     /// **Layers run in the outer loop.** Per layer:
     ///
@@ -929,8 +931,9 @@ impl ModelExecutor {
     ///    dynamic page selection at that token's position and decode-step
     ///    index, and the residency pass; then one parallel attention phase —
     ///    one shard per *(sequence × KV-head)*, costed by the sparsity-aware
-    ///    estimate and LPT-assigned across up to `threads` scoped workers with
-    ///    work stealing, each writing only its own preallocated output slice.
+    ///    estimate and LPT-assigned across up to `threads` scoped workers per
+    ///    device with work stealing, each writing only its own preallocated
+    ///    output slice.
     /// 3. **Output projection + FFN**: one `post_attention` + `ffn_block` GEMM
     ///    over all of a row's tokens.
     ///
@@ -1219,8 +1222,9 @@ impl ModelExecutor {
 
     /// One token's parallel attention phase of [`ModelExecutor::forward_rows`]:
     /// builds a shard per *(live row × KV-head)* reading that row's query
-    /// for token `wave.token` and writing its slice of `attn`, runs them
-    /// sharded (one device) or placed (several), and traces the phase.
+    /// for token `wave.token` and writing its slice of `attn`, runs them on
+    /// the plan's head placement (one device is the placement with every head
+    /// on device 0), and traces the phase.
     /// Returns each shard's `(row, dense, streaming)` work counters in
     /// shard-construction order.
     #[allow(clippy::too_many_arguments)]
@@ -1283,72 +1287,55 @@ impl ModelExecutor {
                 });
             }
         }
+        // Per-head cost signal for this phase: the placement (and later the
+        // rebalancer) act on exactly what the worker-level LPT balances.
         let devices = plan.devices();
-        if devices <= 1 {
-            let balance = run_sharded(threads, &costs, &mut shards, |shard| {
-                run_decode_shard(pool, shard)
-            });
-            exec_stats.absorb(&balance);
-            trace_attention_phase(tracer, par_start, l, &balance, &costs, &shard_seq);
-        } else {
-            // Per-head cost signal for this phase: the placement (and later
-            // the rebalancer) act on exactly what the worker-level LPT
-            // balances.
-            let mut head_costs = vec![0u64; model.num_kv_heads];
-            for (s, &kv) in shard_kv.iter().enumerate() {
-                head_costs[kv] += costs[s];
-            }
-            let assign = plan.layer_assignment(l, &head_costs).to_vec();
-            // A sequence's home device is where the plurality of its shard
-            // cost lives (ties to the lower device id): its other shards'
-            // outputs must cross the mesh before the serial output
-            // projection, and each such gather charges the topology's modeled
-            // interconnect cost — onto the shard (the gather delays it) and
-            // into the interconnect ledger.
-            let mut seq_dev_cost = vec![vec![0u64; devices]; rows.len()];
-            for s in 0..costs.len() {
-                seq_dev_cost[shard_seq[s]][assign[shard_kv[s]]] += costs[s];
-            }
-            let home: Vec<usize> = seq_dev_cost
-                .iter()
-                .map(|loads| {
-                    (0..devices)
-                        .max_by_key(|&dev| (loads[dev], std::cmp::Reverse(dev)))
-                        .expect("devices > 0")
-                })
-                .collect();
-            let gather = plan.topology().gather_cost_tokens();
-            let mut device_of = vec![0usize; costs.len()];
-            let mut placed_costs = costs.clone();
-            let mut gather_tokens = 0u64;
-            for s in 0..costs.len() {
-                let dev = assign[shard_kv[s]];
-                device_of[s] = dev;
-                if dev != home[shard_seq[s]] {
-                    placed_costs[s] += gather;
-                    gather_tokens += gather;
-                }
-            }
-            let placed = run_placed(
-                threads,
-                devices,
-                &device_of,
-                &placed_costs,
-                &mut shards,
-                |shard| run_decode_shard(pool, shard),
-            );
-            exec_stats.absorb_placed(&placed, gather_tokens);
-            trace_attention_phase_placed(
-                tracer,
-                par_start,
-                l,
-                &placed,
-                &placed_costs,
-                &shard_seq,
-                &device_of,
-                exec_stats.interconnect_tokens,
-            );
+        let mut head_costs = vec![0u64; model.num_kv_heads];
+        for (s, &kv) in shard_kv.iter().enumerate() {
+            head_costs[kv] += costs[s];
         }
+        let assign = plan.layer_assignment(l, &head_costs);
+        let device_of: Vec<usize> = shard_kv.iter().map(|&kv| assign[kv]).collect();
+        // A sequence's home device is where the plurality of its shard cost
+        // lives (ties to the lower device id): its other shards' outputs must
+        // cross the mesh before the serial output projection, and each such
+        // gather charges the topology's modeled interconnect cost — onto the
+        // shard (the gather delays it) and into the interconnect ledger. On
+        // one device every home is device 0 and nothing is charged.
+        let mut seq_dev_cost = vec![vec![0u64; devices]; rows.len()];
+        for s in 0..costs.len() {
+            seq_dev_cost[shard_seq[s]][device_of[s]] += costs[s];
+        }
+        let home: Vec<usize> = seq_dev_cost
+            .iter()
+            .map(|loads| {
+                (0..devices)
+                    .max_by_key(|&dev| (loads[dev], std::cmp::Reverse(dev)))
+                    .expect("devices > 0")
+            })
+            .collect();
+        let gather = plan.topology().gather_cost_tokens();
+        let mut gather_tokens = 0u64;
+        for s in 0..costs.len() {
+            if device_of[s] != home[shard_seq[s]] {
+                costs[s] += gather;
+                gather_tokens += gather;
+            }
+        }
+        let balance = run_placed(threads, devices, &device_of, &costs, &mut shards, |shard| {
+            run_decode_shard(pool, shard)
+        });
+        exec_stats.absorb(&balance, gather_tokens);
+        trace_attention_phase(
+            tracer,
+            par_start,
+            l,
+            &balance,
+            &costs,
+            &shard_seq,
+            &device_of,
+            exec_stats.interconnect_tokens,
+        );
         shard_seq
             .iter()
             .zip(shards.iter())
@@ -1378,64 +1365,26 @@ type LayerSelections = (Vec<Option<Vec<usize>>>, Vec<Option<u64>>, Vec<bool>);
 
 /// Emits one decode layer's parallel-phase trace: advances the work-token
 /// clock by the phase's modeled critical path, closes the `decode.attention`
-/// span, and lays per-shard spans on the worker lanes.
+/// span, and lays per-shard spans on per-device worker lanes
+/// (`tid = device * DEVICE_TID_STRIDE + worker`, so device 0's lanes are the
+/// plain worker ids).
 ///
 /// The worker lanes show the *modeled LPT schedule* — [`lpt_assign`] re-run
-/// over the same deterministic costs [`run_sharded`] balanced with — not the
-/// measured execution (work stealing may move a straggler shard at runtime).
-/// That is the right chart for imbalance analysis: it is bit-reproducible,
-/// and the per-shard `cost` args are exactly the sparsity-aware estimates the
-/// balancer acted on.
+/// per device over the same deterministic costs [`run_placed`] balanced with
+/// — not the measured execution (work stealing may move a straggler shard at
+/// runtime). That is the right chart for imbalance analysis: it is
+/// bit-reproducible, and the per-shard `cost` args are exactly the
+/// sparsity-aware estimates (gather charges included) the balancer acted on.
+///
+/// Only a multi-device phase carries the `devices` span arg and the
+/// cumulative `interconnect` counter track, so single-device traces keep
+/// their format.
+#[allow(clippy::too_many_arguments)]
 fn trace_attention_phase(
     tracer: &Tracer,
     par_start: u64,
     l: usize,
     balance: &BalanceStats,
-    costs: &[u64],
-    shard_seq: &[usize],
-) {
-    if !tracer.is_enabled() {
-        return;
-    }
-    tracer.advance(balance.cost_critical());
-    tracer.span(
-        "decode.attention",
-        "executor",
-        lane::EXECUTOR,
-        CONTROL_TID,
-        par_start,
-        &[("layer", l as u64), ("shards", balance.shards)],
-    );
-    if costs.is_empty() {
-        return;
-    }
-    for (w, queue) in lpt_assign(costs, balance.workers.max(1)).iter().enumerate() {
-        let mut cursor = par_start;
-        for &s in queue {
-            tracer.span_at(
-                "shard",
-                "attention",
-                lane::WORKERS,
-                w as u64,
-                cursor,
-                costs[s],
-                &[("seq", shard_seq[s] as u64), ("cost", costs[s])],
-            );
-            cursor += costs[s];
-        }
-    }
-}
-
-/// [`trace_attention_phase`] for a placed phase: per-shard spans land on
-/// per-device worker lanes (`tid = device * DEVICE_TID_STRIDE + worker`, the
-/// same per-device LPT schedule [`run_placed`] executed), and the cumulative
-/// cross-device gather charge is emitted as an `interconnect` counter track.
-#[allow(clippy::too_many_arguments)]
-fn trace_attention_phase_placed(
-    tracer: &Tracer,
-    par_start: u64,
-    l: usize,
-    placed: &PlacedBalance,
     costs: &[u64],
     shard_seq: &[usize],
     device_of: &[usize],
@@ -1444,26 +1393,28 @@ fn trace_attention_phase_placed(
     if !tracer.is_enabled() {
         return;
     }
-    tracer.advance(placed.stats.cost_critical());
+    let multi_device = balance.devices > 1;
+    tracer.advance(balance.cost_critical());
+    let args = [
+        ("layer", l as u64),
+        ("shards", balance.shards),
+        ("devices", balance.devices as u64),
+    ];
     tracer.span(
         "decode.attention",
         "executor",
         lane::EXECUTOR,
         CONTROL_TID,
         par_start,
-        &[
-            ("layer", l as u64),
-            ("shards", placed.stats.shards),
-            ("devices", placed.devices as u64),
-        ],
+        if multi_device { &args } else { &args[..2] },
     );
-    for dev in 0..placed.devices {
+    for dev in 0..balance.devices {
         let group: Vec<usize> = (0..costs.len()).filter(|&s| device_of[s] == dev).collect();
         if group.is_empty() {
             continue;
         }
         let local_costs: Vec<u64> = group.iter().map(|&s| costs[s]).collect();
-        let workers = placed.device_workers[dev].max(1);
+        let workers = balance.device_workers[dev].max(1);
         for (w, queue) in lpt_assign(&local_costs, workers).iter().enumerate() {
             let mut cursor = par_start;
             for &local in queue {
@@ -1481,13 +1432,15 @@ fn trace_attention_phase_placed(
             }
         }
     }
-    // After the shard spans: the counter's tid-0 timestamp (the advanced
-    // clock) must not precede device 0's span closes within the lane.
-    tracer.counter(
-        "interconnect",
-        lane::WORKERS,
-        &[("tokens", interconnect_total)],
-    );
+    if multi_device {
+        // After the shard spans: the counter's tid-0 timestamp (the advanced
+        // clock) must not precede device 0's span closes within the lane.
+        tracer.counter(
+            "interconnect",
+            lane::WORKERS,
+            &[("tokens", interconnect_total)],
+        );
+    }
 }
 
 /// Sparsity-aware cost estimate of one *(sequence × KV-head)* decode shard, in

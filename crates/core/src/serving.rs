@@ -1783,14 +1783,9 @@ impl Scheduler {
     /// Checks the multi-device placement for staleness and, when the
     /// rebalancer fires, charges the head migration's interconnect cost into
     /// the work clock (the copy engine's token-unit price over the mesh
-    /// link) and traces it on the copy lane.
+    /// link) and traces it on the copy lane. A single-device plan only ticks
+    /// its step clock.
     fn rebalance_phase(&mut self) {
-        if self.plan.devices() <= 1 {
-            // Still tick the step clock so enabling devices mid-experiment
-            // (fresh scheduler) and single-device runs stay comparable.
-            let _ = self.plan.maybe_rebalance(|_, _| 0);
-            return;
-        }
         let running = &self.running;
         let pool = &self.pool;
         let outcome = self.plan.maybe_rebalance(|l, kv| {

@@ -1,6 +1,6 @@
 //! Aggregate work counters reported by the engine.
 
-use lserve_attention::{BalanceStats, DecodeStats, PlacedBalance, PrefillStats};
+use lserve_attention::{BalanceStats, DecodeStats, PrefillStats};
 
 /// Cumulative work counters across an engine's lifetime.
 ///
@@ -155,8 +155,8 @@ pub struct ParallelExecStats {
     /// Sum over phases of the most-loaded worker's estimated cost — the
     /// modeled critical path of the LPT schedule.
     pub cost_critical: u64,
-    /// Largest simulated device count any phase was placed onto (1 when
-    /// attention ran against the anonymous single-device pool).
+    /// Largest simulated device count any phase was placed onto (1 for a
+    /// single-device run).
     pub devices: usize,
     /// Modeled interconnect tokens charged for cross-device gathers (a
     /// sequence's shards produced on a non-home device).
@@ -173,8 +173,10 @@ pub struct ParallelExecStats {
 }
 
 impl ParallelExecStats {
-    /// Folds one parallel phase's balance report in.
-    pub fn absorb(&mut self, b: &BalanceStats) {
+    /// Folds one parallel phase in: worker-level balance, the per-device
+    /// ledger, and the phase's cross-device gather charge (always 0 on one
+    /// device, where every sequence's home is device 0).
+    pub fn absorb(&mut self, b: &BalanceStats, gather_tokens: u64) {
         self.workers = self.workers.max(b.workers);
         self.phases += 1;
         self.shards += b.shards;
@@ -184,31 +186,11 @@ impl ParallelExecStats {
         self.busy_ns_capacity += b.workers as u64 * b.max_busy_ns();
         self.cost_total += b.cost_total();
         self.cost_critical += b.cost_critical();
-        // An anonymous-pool phase is a 1-device placement: fold it into the
-        // device ledger so device metrics stay meaningful on one device.
-        self.devices = self.devices.max(1);
-        self.device_cost_total += b.cost_total();
-        self.device_cost_critical += b.cost_total();
-        self.device_cost_capacity += b.cost_total();
-    }
-
-    /// Folds one *placed* parallel phase in: worker-level balance plus the
-    /// per-device ledger and the phase's cross-device gather charge.
-    pub fn absorb_placed(&mut self, p: &PlacedBalance, gather_tokens: u64) {
-        self.workers = self.workers.max(p.stats.workers);
-        self.phases += 1;
-        self.shards += p.stats.shards;
-        self.stolen += p.stats.stolen;
-        self.busy_ns_total += p.stats.total_busy_ns();
-        self.busy_ns_critical += p.stats.max_busy_ns();
-        self.busy_ns_capacity += p.stats.workers as u64 * p.stats.max_busy_ns();
-        self.cost_total += p.stats.cost_total();
-        self.cost_critical += p.stats.cost_critical();
-        self.devices = self.devices.max(p.devices);
+        self.devices = self.devices.max(b.devices);
         self.interconnect_tokens += gather_tokens;
-        self.device_cost_total += p.device_cost_total();
-        self.device_cost_critical += p.device_cost_critical();
-        self.device_cost_capacity += p.devices as u64 * p.device_cost_critical();
+        self.device_cost_total += b.cost_total();
+        self.device_cost_critical += b.device_cost_critical();
+        self.device_cost_capacity += b.devices as u64 * b.device_cost_critical();
     }
 
     /// Merges another accumulator (e.g. per-step stats into a run total).
@@ -329,18 +311,32 @@ mod tests {
         assert!((s.decode_sparsity() - 0.7).abs() < 1e-12);
     }
 
+    /// A one-device phase's balance report: every worker on device 0.
+    fn one_device(shards: u64, busy_ns: Vec<u64>, assigned_cost: Vec<u64>) -> BalanceStats {
+        BalanceStats {
+            devices: 1,
+            workers: busy_ns.len(),
+            shards,
+            stolen: 0,
+            device_cost: vec![assigned_cost.iter().sum()],
+            device_workers: vec![busy_ns.len()],
+            busy_ns,
+            assigned_cost,
+        }
+    }
+
     #[test]
     fn parallel_stats_absorb_and_model() {
         let mut p = ParallelExecStats::default();
         assert_eq!(p.utilization(), 1.0);
         assert_eq!(p.modeled_speedup(), 1.0);
-        p.absorb(&BalanceStats {
-            workers: 4,
-            shards: 8,
-            stolen: 1,
-            busy_ns: vec![100, 100, 100, 100],
-            assigned_cost: vec![30, 30, 20, 20],
-        });
+        p.absorb(
+            &BalanceStats {
+                stolen: 1,
+                ..one_device(8, vec![100, 100, 100, 100], vec![30, 30, 20, 20])
+            },
+            0,
+        );
         assert_eq!(p.phases, 1);
         assert_eq!(p.shards, 8);
         assert_eq!(p.cost_total, 100);
@@ -359,18 +355,16 @@ mod tests {
     fn absorb_placed_tracks_device_ledger_and_interconnect() {
         let mut p = ParallelExecStats::default();
         assert_eq!(p.device_imbalance(), 1.0);
-        p.absorb_placed(
-            &PlacedBalance {
+        p.absorb(
+            &BalanceStats {
                 devices: 2,
+                workers: 2,
+                shards: 4,
+                stolen: 0,
+                busy_ns: vec![10, 10],
+                assigned_cost: vec![30, 10],
                 device_cost: vec![30, 10],
                 device_workers: vec![1, 1],
-                stats: BalanceStats {
-                    workers: 2,
-                    shards: 4,
-                    stolen: 0,
-                    busy_ns: vec![10, 10],
-                    assigned_cost: vec![30, 10],
-                },
             },
             8,
         );
@@ -380,14 +374,8 @@ mod tests {
         assert_eq!(p.device_cost_critical, 30);
         assert_eq!(p.device_cost_capacity, 60);
         assert!((p.device_imbalance() - 1.5).abs() < 1e-12);
-        // A plain absorb folds in as a balanced 1-device phase.
-        p.absorb(&BalanceStats {
-            workers: 1,
-            shards: 1,
-            stolen: 0,
-            busy_ns: vec![5],
-            assigned_cost: vec![20],
-        });
+        // A one-device phase folds in balanced, with no gather charge.
+        p.absorb(&one_device(1, vec![5], vec![20]), 0);
         assert_eq!(p.device_cost_total, 60);
         assert_eq!(p.device_cost_critical, 50);
         let mut q = ParallelExecStats::default();
@@ -403,20 +391,8 @@ mod tests {
         // utilization must be 1.0, not deflated by dividing the small phase by
         // the run-wide maximum worker count.
         let mut p = ParallelExecStats::default();
-        p.absorb(&BalanceStats {
-            workers: 2,
-            shards: 2,
-            stolen: 0,
-            busy_ns: vec![50, 50],
-            assigned_cost: vec![5, 5],
-        });
-        p.absorb(&BalanceStats {
-            workers: 8,
-            shards: 8,
-            stolen: 0,
-            busy_ns: vec![100; 8],
-            assigned_cost: vec![10; 8],
-        });
+        p.absorb(&one_device(2, vec![50, 50], vec![5, 5]), 0);
+        p.absorb(&one_device(8, vec![100; 8], vec![10; 8]), 0);
         assert_eq!(p.workers, 8);
         assert_eq!(p.busy_ns_capacity, 2 * 50 + 8 * 100);
         assert!((p.utilization() - 1.0).abs() < 1e-12);

@@ -156,9 +156,8 @@ impl MigrationStats {
 ///
 /// The engine tracks queue state only; the pool owns residency, slot counts,
 /// and [`MigrationStats`], reacting to the [`PageId`]s this engine reports as
-/// landed, forced, or cancelled. The [`MigrationDir`]-only methods are
-/// host-hop shorthands kept for the two-tier call sites; the `_hop` variants
-/// address all four channels.
+/// landed, forced, or cancelled. Every operation names its channel by
+/// `(hop, dir)`.
 #[derive(Debug, Clone, Default)]
 pub struct CopyEngine {
     d2h: VecDeque<Transfer>,
@@ -186,63 +185,32 @@ impl CopyEngine {
         }
     }
 
-    /// Transfers currently in flight on the host hop in `dir`.
-    pub fn in_flight(&self, dir: MigrationDir) -> usize {
-        self.in_flight_hop(Hop::Host, dir)
-    }
-
     /// Transfers currently in flight on `hop` in `dir`.
-    pub fn in_flight_hop(&self, hop: Hop, dir: MigrationDir) -> usize {
+    pub fn in_flight(&self, hop: Hop, dir: MigrationDir) -> usize {
         self.queue(hop, dir).len()
     }
 
-    /// True when the host-hop queue in `dir` is at [`COPY_CHANNEL_DEPTH`].
-    pub fn is_full(&self, dir: MigrationDir) -> bool {
-        self.is_full_hop(Hop::Host, dir)
-    }
-
     /// True when `hop`'s queue in `dir` is at [`COPY_CHANNEL_DEPTH`].
-    pub fn is_full_hop(&self, hop: Hop, dir: MigrationDir) -> bool {
-        self.in_flight_hop(hop, dir) >= COPY_CHANNEL_DEPTH
-    }
-
-    /// Whether `page` is in flight on the host hop in `dir`.
-    pub fn contains(&self, dir: MigrationDir, page: PageId) -> bool {
-        self.contains_hop(Hop::Host, dir, page)
+    pub fn is_full(&self, hop: Hop, dir: MigrationDir) -> bool {
+        self.in_flight(hop, dir) >= COPY_CHANNEL_DEPTH
     }
 
     /// Whether `page` is in flight on `hop` in `dir`.
-    pub fn contains_hop(&self, hop: Hop, dir: MigrationDir, page: PageId) -> bool {
+    pub fn contains(&self, hop: Hop, dir: MigrationDir, page: PageId) -> bool {
         self.queue(hop, dir).iter().any(|t| t.page == page)
     }
 
-    /// Queues a host-hop transfer. The caller must have drained a full queue
-    /// first (see [`CopyEngine::force_head`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue is full or the page is already in flight in `dir`.
-    pub fn issue(&mut self, dir: MigrationDir, page: PageId, units: u64, prefetch: bool) {
-        self.issue_hop(Hop::Host, dir, page, units, prefetch);
-    }
-
     /// Queues a transfer on `hop`. `units` are ledger units (pre-scaled for
-    /// the NVMe hop). The caller must have drained a full queue first.
+    /// the NVMe hop). The caller must have drained a full queue first (see
+    /// [`CopyEngine::force_head`]).
     ///
     /// # Panics
     ///
     /// Panics if the queue is full or the page is already in flight on
     /// `(hop, dir)`.
-    pub fn issue_hop(
-        &mut self,
-        hop: Hop,
-        dir: MigrationDir,
-        page: PageId,
-        units: u64,
-        prefetch: bool,
-    ) {
-        assert!(!self.is_full_hop(hop, dir), "copy queue overfull");
-        assert!(!self.contains_hop(hop, dir, page), "page already in flight");
+    pub fn issue(&mut self, hop: Hop, dir: MigrationDir, page: PageId, units: u64, prefetch: bool) {
+        assert!(!self.is_full(hop, dir), "copy queue overfull");
+        assert!(!self.contains(hop, dir, page), "page already in flight");
         self.queue_mut(hop, dir).push_back(Transfer {
             page,
             remaining: units,
@@ -278,37 +246,22 @@ impl CopyEngine {
         (landed, drained)
     }
 
-    /// Force-completes the oldest host-hop transfer in `dir` (a consumer
+    /// Force-completes the oldest transfer on `hop` in `dir` (a consumer
     /// needs its slot or queue entry *now*). Returns the landed page, its
     /// unhidden remainder, and whether it was a prefetch.
-    pub fn force_head(&mut self, dir: MigrationDir) -> Option<(PageId, u64, bool)> {
-        self.force_head_hop(Hop::Host, dir)
-    }
-
-    /// Force-completes the oldest transfer on `hop` in `dir`.
-    pub fn force_head_hop(&mut self, hop: Hop, dir: MigrationDir) -> Option<(PageId, u64, bool)> {
+    pub fn force_head(&mut self, hop: Hop, dir: MigrationDir) -> Option<(PageId, u64, bool)> {
         self.queue_mut(hop, dir)
             .pop_front()
             .map(|t| (t.page, t.remaining, t.prefetch))
     }
 
-    /// Force-completes the *cheapest* host-hop transfer in `dir` — fewest
+    /// Force-completes the *cheapest* transfer on `hop` in `dir` — fewest
     /// remaining ledger units, front-most on a tie (the FIFO drain order
     /// keeps the choice deterministic). Used by hot-slot reclaim to minimize
     /// the forced-unhidden charge: the oldest transfer may have been issued
     /// large while a younger one is nearly drained. Returns the landed page,
     /// its unhidden remainder, and whether it was a prefetch.
-    pub fn force_cheapest(&mut self, dir: MigrationDir) -> Option<(PageId, u64, bool)> {
-        self.force_cheapest_hop(Hop::Host, dir)
-    }
-
-    /// Force-completes the cheapest transfer on `hop` in `dir` (fewest
-    /// remaining units, front-most on a tie).
-    pub fn force_cheapest_hop(
-        &mut self,
-        hop: Hop,
-        dir: MigrationDir,
-    ) -> Option<(PageId, u64, bool)> {
+    pub fn force_cheapest(&mut self, hop: Hop, dir: MigrationDir) -> Option<(PageId, u64, bool)> {
         let q = self.queue_mut(hop, dir);
         let pos = q
             .iter()
@@ -319,36 +272,15 @@ impl CopyEngine {
         Some((t.page, t.remaining, t.prefetch))
     }
 
-    /// Force-completes `page`'s in-flight host-hop transfer in `dir`. Returns
-    /// the unhidden remainder and whether it was a prefetch.
-    pub fn force_page(&mut self, dir: MigrationDir, page: PageId) -> Option<(u64, bool)> {
-        self.force_page_hop(Hop::Host, dir, page)
-    }
-
-    /// Force-completes `page`'s in-flight transfer on `hop` in `dir`.
-    pub fn force_page_hop(
-        &mut self,
-        hop: Hop,
-        dir: MigrationDir,
-        page: PageId,
-    ) -> Option<(u64, bool)> {
+    /// Removes `page`'s in-flight transfer on `hop` in `dir`: the pool either
+    /// lands it (forced) or drops it (cancelled — the page was freed, or the
+    /// migration re-targeted). Returns the remainder, unhidden or cancelled,
+    /// and whether it was a prefetch.
+    pub fn force_page(&mut self, hop: Hop, dir: MigrationDir, page: PageId) -> Option<(u64, bool)> {
         let q = self.queue_mut(hop, dir);
         let pos = q.iter().position(|t| t.page == page)?;
         let t = q.remove(pos).expect("position exists");
         Some((t.remaining, t.prefetch))
-    }
-
-    /// Cancels `page`'s in-flight host-hop transfer in `dir` without landing
-    /// it (the page was freed, or the migration re-targeted). Returns the
-    /// cancelled remainder and whether it was a prefetch.
-    pub fn cancel(&mut self, dir: MigrationDir, page: PageId) -> Option<(u64, bool)> {
-        self.force_page(dir, page)
-    }
-
-    /// Cancels `page`'s in-flight transfer on `hop` in `dir` without landing
-    /// it.
-    pub fn cancel_hop(&mut self, hop: Hop, dir: MigrationDir, page: PageId) -> Option<(u64, bool)> {
-        self.force_page_hop(hop, dir, page)
     }
 }
 
@@ -370,8 +302,8 @@ mod tests {
     #[test]
     fn advance_drains_fifo_and_lands_in_order() {
         let mut e = CopyEngine::default();
-        e.issue(MigrationDir::ToCold, pid(0), 10, false);
-        e.issue(MigrationDir::ToCold, pid(1), 4, false);
+        e.issue(Hop::Host, MigrationDir::ToCold, pid(0), 10, false);
+        e.issue(Hop::Host, MigrationDir::ToCold, pid(1), 4, false);
         let (landed, drained) = e.advance(6);
         assert_eq!(drained, 6);
         assert!(landed.is_empty(), "head still has 4 units left");
@@ -384,14 +316,14 @@ mod tests {
                 (Hop::Host, MigrationDir::ToCold, pid(1))
             ]
         );
-        assert_eq!(e.in_flight(MigrationDir::ToCold), 0);
+        assert_eq!(e.in_flight(Hop::Host, MigrationDir::ToCold), 0);
     }
 
     #[test]
     fn directions_drain_independently() {
         let mut e = CopyEngine::default();
-        e.issue(MigrationDir::ToCold, pid(0), 8, false);
-        e.issue(MigrationDir::ToHot, pid(1), 8, false);
+        e.issue(Hop::Host, MigrationDir::ToCold, pid(0), 8, false);
+        e.issue(Hop::Host, MigrationDir::ToHot, pid(1), 8, false);
         let (landed, drained) = e.advance(8);
         assert_eq!(drained, 16, "each direction gets its own budget");
         assert_eq!(landed.len(), 2);
@@ -400,11 +332,15 @@ mod tests {
     #[test]
     fn hops_drain_independently_and_land_host_first() {
         let mut e = CopyEngine::default();
-        e.issue_hop(Hop::Nvme, MigrationDir::ToCold, pid(0), 8, false);
-        e.issue_hop(Hop::Host, MigrationDir::ToCold, pid(1), 8, false);
-        e.issue_hop(Hop::Nvme, MigrationDir::ToHot, pid(2), 8, false);
-        assert_eq!(e.in_flight(MigrationDir::ToCold), 1, "host hop only");
-        assert_eq!(e.in_flight_hop(Hop::Nvme, MigrationDir::ToCold), 1);
+        e.issue(Hop::Nvme, MigrationDir::ToCold, pid(0), 8, false);
+        e.issue(Hop::Host, MigrationDir::ToCold, pid(1), 8, false);
+        e.issue(Hop::Nvme, MigrationDir::ToHot, pid(2), 8, false);
+        assert_eq!(
+            e.in_flight(Hop::Host, MigrationDir::ToCold),
+            1,
+            "host hop only"
+        );
+        assert_eq!(e.in_flight(Hop::Nvme, MigrationDir::ToCold), 1);
         let (landed, drained) = e.advance(8);
         assert_eq!(drained, 24, "each of the four channels has its own budget");
         // Landing order is deterministic: host channels first, ToCold before
@@ -422,58 +358,64 @@ mod tests {
     #[test]
     fn same_page_may_be_in_flight_on_distinct_hops_only() {
         let mut e = CopyEngine::default();
-        e.issue_hop(Hop::Host, MigrationDir::ToCold, pid(5), 4, false);
-        assert!(e.contains_hop(Hop::Host, MigrationDir::ToCold, pid(5)));
-        assert!(!e.contains_hop(Hop::Nvme, MigrationDir::ToCold, pid(5)));
-        e.issue_hop(Hop::Nvme, MigrationDir::ToHot, pid(5), 32, false);
+        e.issue(Hop::Host, MigrationDir::ToCold, pid(5), 4, false);
+        assert!(e.contains(Hop::Host, MigrationDir::ToCold, pid(5)));
+        assert!(!e.contains(Hop::Nvme, MigrationDir::ToCold, pid(5)));
+        e.issue(Hop::Nvme, MigrationDir::ToHot, pid(5), 32, false);
         assert_eq!(
-            e.cancel_hop(Hop::Nvme, MigrationDir::ToHot, pid(5)),
+            e.force_page(Hop::Nvme, MigrationDir::ToHot, pid(5)),
             Some((32, false))
         );
-        assert_eq!(e.force_page(MigrationDir::ToCold, pid(5)), Some((4, false)));
+        assert_eq!(
+            e.force_page(Hop::Host, MigrationDir::ToCold, pid(5)),
+            Some((4, false))
+        );
     }
 
     #[test]
     fn force_cheapest_prefers_fewest_remaining_units() {
         let mut e = CopyEngine::default();
-        e.issue(MigrationDir::ToCold, pid(0), 12, false);
-        e.issue(MigrationDir::ToCold, pid(1), 3, false);
-        e.issue(MigrationDir::ToCold, pid(2), 7, false);
+        e.issue(Hop::Host, MigrationDir::ToCold, pid(0), 12, false);
+        e.issue(Hop::Host, MigrationDir::ToCold, pid(1), 3, false);
+        e.issue(Hop::Host, MigrationDir::ToCold, pid(2), 7, false);
         // Not the oldest (pid 0, 12 units left) but the cheapest (pid 1, 3).
-        let (page, rem, _) = e.force_cheapest(MigrationDir::ToCold).unwrap();
+        let (page, rem, _) = e.force_cheapest(Hop::Host, MigrationDir::ToCold).unwrap();
         assert_eq!((page, rem), (pid(1), 3));
         // After draining 5 units FIFO, pid 0 has 7 left — tied with pid 2;
         // the front-most (oldest) wins the tie deterministically.
         let (_, drained) = e.advance(5);
         assert_eq!(drained, 5);
-        let (page, rem, _) = e.force_cheapest(MigrationDir::ToCold).unwrap();
+        let (page, rem, _) = e.force_cheapest(Hop::Host, MigrationDir::ToCold).unwrap();
         assert_eq!((page, rem), (pid(0), 7));
-        let (page, _, _) = e.force_cheapest(MigrationDir::ToCold).unwrap();
+        let (page, _, _) = e.force_cheapest(Hop::Host, MigrationDir::ToCold).unwrap();
         assert_eq!(page, pid(2));
-        assert!(e.force_cheapest(MigrationDir::ToCold).is_none());
+        assert!(e.force_cheapest(Hop::Host, MigrationDir::ToCold).is_none());
     }
 
     #[test]
     fn force_page_returns_remainder() {
         let mut e = CopyEngine::default();
-        e.issue(MigrationDir::ToHot, pid(3), 12, true);
+        e.issue(Hop::Host, MigrationDir::ToHot, pid(3), 12, true);
         let (_, _) = e.advance(5);
-        assert_eq!(e.force_page(MigrationDir::ToHot, pid(3)), Some((7, true)));
-        assert_eq!(e.force_page(MigrationDir::ToHot, pid(3)), None);
+        assert_eq!(
+            e.force_page(Hop::Host, MigrationDir::ToHot, pid(3)),
+            Some((7, true))
+        );
+        assert_eq!(e.force_page(Hop::Host, MigrationDir::ToHot, pid(3)), None);
     }
 
     #[test]
     fn full_queue_reports_full() {
         let mut e = CopyEngine::default();
         for i in 0..COPY_CHANNEL_DEPTH {
-            e.issue(MigrationDir::ToCold, pid(i as u32), 1, false);
+            e.issue(Hop::Host, MigrationDir::ToCold, pid(i as u32), 1, false);
         }
-        assert!(e.is_full(MigrationDir::ToCold));
-        assert!(!e.is_full(MigrationDir::ToHot));
-        let (page, rem, _) = e.force_head(MigrationDir::ToCold).unwrap();
+        assert!(e.is_full(Hop::Host, MigrationDir::ToCold));
+        assert!(!e.is_full(Hop::Host, MigrationDir::ToHot));
+        let (page, rem, _) = e.force_head(Hop::Host, MigrationDir::ToCold).unwrap();
         assert_eq!(page, pid(0));
         assert_eq!(rem, 1);
-        assert!(!e.is_full(MigrationDir::ToCold));
+        assert!(!e.is_full(Hop::Host, MigrationDir::ToCold));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Physical KV pages and the hierarchical (hot device / bounded host /
 //! modeled NVMe) page pool.
 
-use lserve_quant::{quantize_group, KvPrecision, QuantParams};
+use lserve_quant::quantize_group;
 use lserve_trace::{lane, Tracer};
 
 use crate::{
@@ -103,23 +103,21 @@ impl PageId {
 /// One physical KV page: up to `N_P` tokens of keys and values for a single KV head,
 /// stored at the configured precision, plus per-logical-page key statistics.
 ///
-/// Quantized pages store codes + per-token-row scale/zero (QServe layout); reads
-/// dequantize, so the rounding error a real INT4/INT8 kernel would see is reproduced
-/// faithfully. Key statistics are computed from the *stored* (dequantized)
-/// representation, matching what the device kernel could reconstruct.
+/// A page keeps one representation: f32 rows. At a quantized precision each row is
+/// rounded through per-token-row scale/zero quantization (QServe layout) on append
+/// and stored dequantized, so the rounding error a real INT4/INT8 kernel would see
+/// is reproduced faithfully; the packed codes themselves are not kept (nothing
+/// reads them — [`KvPage::device_bytes`] models their size from the config). Key
+/// statistics are computed from the stored rows, matching what the device kernel
+/// could reconstruct.
 #[derive(Debug, Clone)]
 pub struct KvPage {
     config: PagingConfig,
     head_dim: usize,
     len: usize,
-    // FP16 path: plain rows. Quantized path: codes packed one byte per element for
-    // INT8, two per byte for INT4, plus per-row params.
+    // Effective (post-quantization) rows, `len * head_dim` each.
     keys_f: Vec<f32>,
     values_f: Vec<f32>,
-    keys_q: Vec<u8>,
-    values_q: Vec<u8>,
-    key_params: Vec<QuantParams>,
-    value_params: Vec<QuantParams>,
     stats: Vec<LogicalPageStats>,
 }
 
@@ -132,10 +130,6 @@ impl KvPage {
             len: 0,
             keys_f: Vec::new(),
             values_f: Vec::new(),
-            keys_q: Vec::new(),
-            values_q: Vec::new(),
-            key_params: Vec::new(),
-            value_params: Vec::new(),
             stats: (0..logical)
                 .map(|_| LogicalPageStats::new(head_dim))
                 .collect(),
@@ -177,40 +171,15 @@ impl KvPage {
             let (vc, vp) = quantize_group(value, precision);
             let sk: Vec<f32> = kc.iter().map(|&c| kp.zero + c as f32 * kp.scale).collect();
             let sv: Vec<f32> = vc.iter().map(|&c| vp.zero + c as f32 * vp.scale).collect();
-            self.pack(&kc, true);
-            self.pack(&vc, false);
-            self.key_params.push(kp);
-            self.value_params.push(vp);
             (sk, sv)
         } else {
             (key.to_vec(), value.to_vec())
         };
-        // We keep the effective (post-quantization) rows in f32 for fast reads; the
-        // packed codes exist so storage size and rounding are exactly device-like.
         self.keys_f.extend_from_slice(&stored_key);
         self.values_f.extend_from_slice(&stored_value);
         let logical_idx = self.len / self.config.logical_page_size();
         self.stats[logical_idx].update(&stored_key);
         self.len += 1;
-    }
-
-    fn pack(&mut self, codes: &[u8], is_key: bool) {
-        let dst = if is_key {
-            &mut self.keys_q
-        } else {
-            &mut self.values_q
-        };
-        match self.config.precision() {
-            KvPrecision::Int8 => dst.extend_from_slice(codes),
-            KvPrecision::Int4 => {
-                for pair in codes.chunks(2) {
-                    let lo = pair[0] & 0x0F;
-                    let hi = if pair.len() == 2 { pair[1] & 0x0F } else { 0 };
-                    dst.push(lo | (hi << 4));
-                }
-            }
-            KvPrecision::Fp16 => {}
-        }
     }
 
     /// The effective (dequantized) key row for token slot `t` within this page.
@@ -418,21 +387,9 @@ impl PagePool {
         &self.tracer
     }
 
-    /// Emits one copy-engine instant for page `id` on the host hop's lane.
-    fn trace_copy(&self, name: &'static str, dir: MigrationDir, id: PageId, units: u64) {
-        self.trace_copy_hop(name, Hop::Host, dir, id, units);
-    }
-
     /// Emits one copy-engine instant for page `id` on the channel's lane:
     /// tid 0 = demote, 1 = promote, 2 = spill, 3 = recall.
-    fn trace_copy_hop(
-        &self,
-        name: &'static str,
-        hop: Hop,
-        dir: MigrationDir,
-        id: PageId,
-        units: u64,
-    ) {
+    fn trace_copy(&self, name: &'static str, hop: Hop, dir: MigrationDir, id: PageId, units: u64) {
         if self.tracer.is_enabled() {
             let tid = match (hop, dir) {
                 (Hop::Host, MigrationDir::ToCold) => 0,
@@ -465,7 +422,7 @@ impl PagePool {
             .flat_map(|hop| {
                 [MigrationDir::ToCold, MigrationDir::ToHot]
                     .into_iter()
-                    .map(move |dir| self.engine.in_flight_hop(hop, dir))
+                    .map(move |dir| self.engine.in_flight(hop, dir))
             })
             .sum()
     }
@@ -521,8 +478,8 @@ impl PagePool {
     /// spill is issued — this is what lets an async spill relieve host
     /// pressure without being demand-forced).
     pub fn host_used(&self) -> usize {
-        self.cold_in_use + self.engine.in_flight_hop(Hop::Host, MigrationDir::ToCold)
-            - self.engine.in_flight_hop(Hop::Nvme, MigrationDir::ToCold)
+        self.cold_in_use + self.engine.in_flight(Hop::Host, MigrationDir::ToCold)
+            - self.engine.in_flight(Hop::Nvme, MigrationDir::ToCold)
     }
 
     /// True when the bounded host can still take one more page (always true
@@ -541,7 +498,7 @@ impl PagePool {
     /// (allocation force-completes the oldest outbound transfer, charging its
     /// remainder as unhidden stall).
     pub fn free_pages(&self) -> usize {
-        self.hot_capacity - self.hot_in_use + self.engine.in_flight(MigrationDir::ToCold)
+        self.hot_capacity - self.hot_in_use + self.engine.in_flight(Hop::Host, MigrationDir::ToCold)
     }
 
     /// High-water mark of hot pages in use.
@@ -576,17 +533,12 @@ impl PagePool {
         self.host_stamp[idx] = self.host_clock;
     }
 
-    /// Applies the residency flip of a landed host-hop transfer. Slot
-    /// accounting for promotions happened at issue; demotions hand their hot
-    /// slot over here.
-    fn land(&mut self, dir: MigrationDir, id: PageId) {
-        self.land_hop(Hop::Host, dir, id);
-    }
-
-    /// Applies the residency flip of a landed transfer on either hop.
-    fn land_hop(&mut self, hop: Hop, dir: MigrationDir, id: PageId) {
+    /// Applies the residency flip of a transfer landed on `hop`. Slot
+    /// accounting for host-hop promotions happened at issue; demotions hand
+    /// their hot slot over here.
+    fn land(&mut self, hop: Hop, dir: MigrationDir, id: PageId) {
         let idx = id.index();
-        self.trace_copy_hop("land", hop, dir, id, 0);
+        self.trace_copy("land", hop, dir, id, 0);
         match hop {
             Hop::Host => {
                 debug_assert_eq!(self.residency[idx], Residency::Migrating(dir));
@@ -619,22 +571,17 @@ impl PagePool {
         }
     }
 
-    /// Force-completes the oldest in-flight host-hop transfer in `dir`,
+    /// Force-completes the oldest in-flight transfer on `hop` in `dir`,
     /// charging its remainder as unhidden stall. Returns `false` when the
     /// queue is empty.
-    fn force_oldest(&mut self, dir: MigrationDir) -> bool {
-        self.force_oldest_hop(Hop::Host, dir)
-    }
-
-    /// Force-completes the oldest in-flight transfer on `hop` in `dir`.
-    fn force_oldest_hop(&mut self, hop: Hop, dir: MigrationDir) -> bool {
-        let Some((page, remaining, _prefetch)) = self.engine.force_head_hop(hop, dir) else {
+    fn force_oldest(&mut self, hop: Hop, dir: MigrationDir) -> bool {
+        let Some((page, remaining, _prefetch)) = self.engine.force_head(hop, dir) else {
             return false;
         };
-        self.trace_copy_hop("force", hop, dir, page, remaining);
+        self.trace_copy("force", hop, dir, page, remaining);
         self.mig.unhidden_token_units += remaining;
         self.mig.forced_completions += 1;
-        self.land_hop(hop, dir, page);
+        self.land(hop, dir, page);
         true
     }
 
@@ -643,14 +590,15 @@ impl PagePool {
     /// slot), charging its remainder as unhidden stall. Returns `false` when
     /// the queue is empty.
     fn force_cheapest_outbound(&mut self) -> bool {
-        let Some((page, remaining, _prefetch)) = self.engine.force_cheapest(MigrationDir::ToCold)
+        let Some((page, remaining, _prefetch)) =
+            self.engine.force_cheapest(Hop::Host, MigrationDir::ToCold)
         else {
             return false;
         };
-        self.trace_copy("force", MigrationDir::ToCold, page, remaining);
+        self.trace_copy("force", Hop::Host, MigrationDir::ToCold, page, remaining);
         self.mig.unhidden_token_units += remaining;
         self.mig.forced_completions += 1;
-        self.land(MigrationDir::ToCold, page);
+        self.land(Hop::Host, MigrationDir::ToCold, page);
         true
     }
 
@@ -770,20 +718,20 @@ impl PagePool {
                 Residency::Migrating(dir) => {
                     let (remaining, _) = self
                         .engine
-                        .cancel(dir, id)
+                        .force_page(Hop::Host, dir, id)
                         .expect("migrating page must be in flight");
-                    self.trace_copy("cancel", dir, id, remaining);
+                    self.trace_copy("cancel", Hop::Host, dir, id, remaining);
                     self.mig.cancelled_token_units += remaining;
                     self.hot_in_use -= 1;
                 }
                 // Nvme-hop in-flight pages count as host-resident in both
-                // directions (see `land_hop`).
+                // directions (see `land`).
                 Residency::MigratingNvme(dir) => {
                     let (remaining, _) = self
                         .engine
-                        .cancel_hop(Hop::Nvme, dir, id)
+                        .force_page(Hop::Nvme, dir, id)
                         .expect("migrating page must be in flight");
-                    self.trace_copy_hop("cancel", Hop::Nvme, dir, id, remaining);
+                    self.trace_copy("cancel", Hop::Nvme, dir, id, remaining);
                     self.mig.cancelled_token_units += remaining;
                     self.cold_in_use -= 1;
                 }
@@ -855,16 +803,16 @@ impl PagePool {
                 // wasted traffic, charged to neither stall bucket.
                 let (remaining, _) = self
                     .engine
-                    .cancel(MigrationDir::ToHot, id)
+                    .force_page(Hop::Host, MigrationDir::ToHot, id)
                     .expect("migrating page must be in flight");
-                self.trace_copy("cancel", MigrationDir::ToHot, id, remaining);
+                self.trace_copy("cancel", Hop::Host, MigrationDir::ToHot, id, remaining);
                 self.mig.cancelled_token_units += remaining;
                 self.waste_prefetched(idx);
             }
             Residency::Hot => self.waste_prefetched(idx),
             _ => unreachable!("filtered above"),
         }
-        self.trace_copy("demote.issue", MigrationDir::ToCold, id, units);
+        self.trace_copy("demote.issue", Hop::Host, MigrationDir::ToCold, id, units);
         match self.mode {
             MigrationMode::Sync => {
                 self.residency[idx] = Residency::Cold;
@@ -877,11 +825,12 @@ impl PagePool {
                 // The hot slot stays occupied (and readable) until the
                 // outbound transfer lands; a full queue force-completes its
                 // oldest entry first, modeling a blocked copy stream.
-                if self.engine.is_full(MigrationDir::ToCold) {
-                    self.force_oldest(MigrationDir::ToCold);
+                if self.engine.is_full(Hop::Host, MigrationDir::ToCold) {
+                    self.force_oldest(Hop::Host, MigrationDir::ToCold);
                 }
                 self.residency[idx] = Residency::Migrating(MigrationDir::ToCold);
-                self.engine.issue(MigrationDir::ToCold, id, units, false);
+                self.engine
+                    .issue(Hop::Host, MigrationDir::ToCold, id, units, false);
             }
         }
         self.tier.pages_demoted += 1;
@@ -914,7 +863,7 @@ impl PagePool {
             return None;
         }
         let ledger = nvme_ledger_units(self.config.physical_page_size() as u64);
-        self.trace_copy_hop("spill.issue", Hop::Nvme, MigrationDir::ToCold, id, ledger);
+        self.trace_copy("spill.issue", Hop::Nvme, MigrationDir::ToCold, id, ledger);
         match self.mode {
             MigrationMode::Sync => {
                 self.residency[idx] = Residency::Nvme;
@@ -923,12 +872,12 @@ impl PagePool {
                 self.mig.unhidden_token_units += ledger;
             }
             MigrationMode::Async => {
-                if self.engine.is_full_hop(Hop::Nvme, MigrationDir::ToCold) {
-                    self.force_oldest_hop(Hop::Nvme, MigrationDir::ToCold);
+                if self.engine.is_full(Hop::Nvme, MigrationDir::ToCold) {
+                    self.force_oldest(Hop::Nvme, MigrationDir::ToCold);
                 }
                 self.residency[idx] = Residency::MigratingNvme(MigrationDir::ToCold);
                 self.engine
-                    .issue_hop(Hop::Nvme, MigrationDir::ToCold, id, ledger, false);
+                    .issue(Hop::Nvme, MigrationDir::ToCold, id, ledger, false);
             }
         }
         self.tier.pages_spilled += 1;
@@ -943,7 +892,7 @@ impl PagePool {
         let idx = id.index();
         debug_assert_eq!(self.residency[idx], Residency::Nvme);
         let ledger = nvme_ledger_units(self.config.physical_page_size() as u64);
-        self.trace_copy_hop("recall.force", Hop::Nvme, MigrationDir::ToHot, id, ledger);
+        self.trace_copy("recall.force", Hop::Nvme, MigrationDir::ToHot, id, ledger);
         self.mig.unhidden_token_units += ledger;
         self.mig.forced_completions += 1;
         self.nvme_in_use -= 1;
@@ -985,9 +934,9 @@ impl PagePool {
             Residency::Migrating(MigrationDir::ToCold) => {
                 let (remaining, _) = self
                     .engine
-                    .cancel(MigrationDir::ToCold, id)
+                    .force_page(Hop::Host, MigrationDir::ToCold, id)
                     .expect("migrating page must be in flight");
-                self.trace_copy("cancel", MigrationDir::ToCold, id, remaining);
+                self.trace_copy("cancel", Hop::Host, MigrationDir::ToCold, id, remaining);
                 self.mig.cancelled_token_units += remaining;
                 self.residency[idx] = Residency::Hot;
                 return Some(0);
@@ -1012,9 +961,9 @@ impl PagePool {
             Residency::MigratingNvme(MigrationDir::ToCold) => {
                 let (remaining, _) = self
                     .engine
-                    .cancel_hop(Hop::Nvme, MigrationDir::ToCold, id)
+                    .force_page(Hop::Nvme, MigrationDir::ToCold, id)
                     .expect("migrating page must be in flight");
-                self.trace_copy_hop("cancel", Hop::Nvme, MigrationDir::ToCold, id, remaining);
+                self.trace_copy("cancel", Hop::Nvme, MigrationDir::ToCold, id, remaining);
                 self.mig.cancelled_token_units += remaining;
                 self.residency[idx] = Residency::Cold;
                 self.stamp_host(idx);
@@ -1024,21 +973,21 @@ impl PagePool {
             Residency::MigratingNvme(MigrationDir::ToHot) => {
                 let (remaining, _) = self
                     .engine
-                    .force_page_hop(Hop::Nvme, MigrationDir::ToHot, id)
+                    .force_page(Hop::Nvme, MigrationDir::ToHot, id)
                     .expect("migrating page must be in flight");
-                self.trace_copy_hop("force", Hop::Nvme, MigrationDir::ToHot, id, remaining);
+                self.trace_copy("force", Hop::Nvme, MigrationDir::ToHot, id, remaining);
                 self.mig.unhidden_token_units += remaining;
                 if remaining > 0 {
                     self.mig.forced_completions += 1;
                 }
-                self.land_hop(Hop::Nvme, MigrationDir::ToHot, id);
+                self.land(Hop::Nvme, MigrationDir::ToHot, id);
                 self.touch_prefetched(idx);
                 0
             }
             _ => unreachable!("filtered above"),
         };
         let units = self.config.physical_page_size() as u64;
-        self.trace_copy("promote.issue", MigrationDir::ToHot, id, units);
+        self.trace_copy("promote.issue", Hop::Host, MigrationDir::ToHot, id, units);
         self.cold_in_use -= 1;
         self.hot_in_use += 1;
         self.peak_in_use = self.peak_in_use.max(self.hot_in_use);
@@ -1048,11 +997,12 @@ impl PagePool {
                 self.mig.unhidden_token_units += units;
             }
             MigrationMode::Async => {
-                if self.engine.is_full(MigrationDir::ToHot) {
-                    self.force_oldest(MigrationDir::ToHot);
+                if self.engine.is_full(Hop::Host, MigrationDir::ToHot) {
+                    self.force_oldest(Hop::Host, MigrationDir::ToHot);
                 }
                 self.residency[idx] = Residency::Migrating(MigrationDir::ToHot);
-                self.engine.issue(MigrationDir::ToHot, id, units, false);
+                self.engine
+                    .issue(Hop::Host, MigrationDir::ToHot, id, units, false);
             }
         }
         self.tier.pages_promoted += 1;
@@ -1087,9 +1037,9 @@ impl PagePool {
             Residency::Migrating(MigrationDir::ToCold) => {
                 let (remaining, _) = self
                     .engine
-                    .cancel(MigrationDir::ToCold, id)
+                    .force_page(Hop::Host, MigrationDir::ToCold, id)
                     .expect("migrating page must be in flight");
-                self.trace_copy("cancel", MigrationDir::ToCold, id, remaining);
+                self.trace_copy("cancel", Hop::Host, MigrationDir::ToCold, id, remaining);
                 self.mig.cancelled_token_units += remaining;
                 self.residency[idx] = Residency::Hot;
                 Some((0, 0))
@@ -1097,14 +1047,14 @@ impl PagePool {
             Residency::Migrating(MigrationDir::ToHot) => {
                 let (remaining, _) = self
                     .engine
-                    .force_page(MigrationDir::ToHot, id)
+                    .force_page(Hop::Host, MigrationDir::ToHot, id)
                     .expect("migrating page must be in flight");
-                self.trace_copy("force", MigrationDir::ToHot, id, remaining);
+                self.trace_copy("force", Hop::Host, MigrationDir::ToHot, id, remaining);
                 self.mig.unhidden_token_units += remaining;
                 if remaining > 0 {
                     self.mig.forced_completions += 1;
                 }
-                self.land(MigrationDir::ToHot, id);
+                self.land(Hop::Host, MigrationDir::ToHot, id);
                 self.touch_prefetched(idx);
                 Some((0, remaining))
             }
@@ -1112,12 +1062,12 @@ impl PagePool {
                 let issued = self.promote(id)?;
                 let (remaining, _) = self
                     .engine
-                    .force_page(MigrationDir::ToHot, id)
+                    .force_page(Hop::Host, MigrationDir::ToHot, id)
                     .expect("promotion just issued");
-                self.trace_copy("force", MigrationDir::ToHot, id, remaining);
+                self.trace_copy("force", Hop::Host, MigrationDir::ToHot, id, remaining);
                 self.mig.unhidden_token_units += remaining;
                 self.mig.forced_completions += 1;
-                self.land(MigrationDir::ToHot, id);
+                self.land(Hop::Host, MigrationDir::ToHot, id);
                 Some((issued, remaining))
             }
             // Below the host: multi-hop demand fetch. `promote` settles the
@@ -1130,12 +1080,12 @@ impl PagePool {
                 if self.residency[idx] == Residency::Migrating(MigrationDir::ToHot) {
                     let (remaining, _) = self
                         .engine
-                        .force_page(MigrationDir::ToHot, id)
+                        .force_page(Hop::Host, MigrationDir::ToHot, id)
                         .expect("promotion just issued");
-                    self.trace_copy("force", MigrationDir::ToHot, id, remaining);
+                    self.trace_copy("force", Hop::Host, MigrationDir::ToHot, id, remaining);
                     self.mig.unhidden_token_units += remaining;
                     self.mig.forced_completions += 1;
-                    self.land(MigrationDir::ToHot, id);
+                    self.land(Hop::Host, MigrationDir::ToHot, id);
                 }
                 Some((issued, self.mig.unhidden_token_units - before))
             }
@@ -1160,17 +1110,19 @@ impl PagePool {
         }
         match self.residency[idx] {
             Residency::Cold => {
-                if self.hot_in_use >= self.hot_capacity || self.engine.is_full(MigrationDir::ToHot)
+                if self.hot_in_use >= self.hot_capacity
+                    || self.engine.is_full(Hop::Host, MigrationDir::ToHot)
                 {
                     return false;
                 }
                 let units = self.config.physical_page_size() as u64;
-                self.trace_copy("prefetch.issue", MigrationDir::ToHot, id, units);
+                self.trace_copy("prefetch.issue", Hop::Host, MigrationDir::ToHot, id, units);
                 self.cold_in_use -= 1;
                 self.hot_in_use += 1;
                 self.peak_in_use = self.peak_in_use.max(self.hot_in_use);
                 self.residency[idx] = Residency::Migrating(MigrationDir::ToHot);
-                self.engine.issue(MigrationDir::ToHot, id, units, true);
+                self.engine
+                    .issue(Hop::Host, MigrationDir::ToHot, id, units, true);
                 self.prefetched[idx] = true;
                 self.mig.prefetch_issued += 1;
                 self.tier.pages_promoted += 1;
@@ -1178,17 +1130,16 @@ impl PagePool {
                 true
             }
             Residency::Nvme => {
-                if !self.host_has_room() || self.engine.is_full_hop(Hop::Nvme, MigrationDir::ToHot)
-                {
+                if !self.host_has_room() || self.engine.is_full(Hop::Nvme, MigrationDir::ToHot) {
                     return false;
                 }
                 let ledger = nvme_ledger_units(self.config.physical_page_size() as u64);
-                self.trace_copy_hop("prefetch.issue", Hop::Nvme, MigrationDir::ToHot, id, ledger);
+                self.trace_copy("prefetch.issue", Hop::Nvme, MigrationDir::ToHot, id, ledger);
                 self.nvme_in_use -= 1;
                 self.cold_in_use += 1;
                 self.residency[idx] = Residency::MigratingNvme(MigrationDir::ToHot);
                 self.engine
-                    .issue_hop(Hop::Nvme, MigrationDir::ToHot, id, ledger, true);
+                    .issue(Hop::Nvme, MigrationDir::ToHot, id, ledger, true);
                 self.prefetched[idx] = true;
                 self.mig.prefetch_issued += 1;
                 self.tier.pages_recalled += 1;
@@ -1208,7 +1159,7 @@ impl PagePool {
         let (landed, drained) = self.engine.advance(units);
         self.mig.hidden_token_units += drained;
         for (hop, dir, page) in landed {
-            self.land_hop(hop, dir, page);
+            self.land(hop, dir, page);
         }
     }
 
@@ -1241,28 +1192,28 @@ impl PagePool {
             Some(Residency::Migrating(MigrationDir::ToCold)) => {
                 let (remaining, _) = self
                     .engine
-                    .cancel(MigrationDir::ToCold, id)
+                    .force_page(Hop::Host, MigrationDir::ToCold, id)
                     .expect("migrating page must be in flight");
-                self.trace_copy("cancel", MigrationDir::ToCold, id, remaining);
+                self.trace_copy("cancel", Hop::Host, MigrationDir::ToCold, id, remaining);
                 self.mig.cancelled_token_units += remaining;
                 self.residency[id.index()] = Residency::Hot;
             }
             Some(Residency::Migrating(MigrationDir::ToHot)) => {
                 let (remaining, _) = self
                     .engine
-                    .force_page(MigrationDir::ToHot, id)
+                    .force_page(Hop::Host, MigrationDir::ToHot, id)
                     .expect("migrating page must be in flight");
-                self.trace_copy("force", MigrationDir::ToHot, id, remaining);
+                self.trace_copy("force", Hop::Host, MigrationDir::ToHot, id, remaining);
                 self.mig.unhidden_token_units += remaining;
                 self.mig.forced_completions += 1;
-                self.land(MigrationDir::ToHot, id);
+                self.land(Hop::Host, MigrationDir::ToHot, id);
             }
             Some(Residency::MigratingNvme(MigrationDir::ToCold)) => {
                 let (remaining, _) = self
                     .engine
-                    .cancel_hop(Hop::Nvme, MigrationDir::ToCold, id)
+                    .force_page(Hop::Nvme, MigrationDir::ToCold, id)
                     .expect("migrating page must be in flight");
-                self.trace_copy_hop("cancel", Hop::Nvme, MigrationDir::ToCold, id, remaining);
+                self.trace_copy("cancel", Hop::Nvme, MigrationDir::ToCold, id, remaining);
                 self.mig.cancelled_token_units += remaining;
                 self.residency[id.index()] = Residency::Cold;
                 self.stamp_host(id.index());
@@ -1270,12 +1221,12 @@ impl PagePool {
             Some(Residency::MigratingNvme(MigrationDir::ToHot)) => {
                 let (remaining, _) = self
                     .engine
-                    .force_page_hop(Hop::Nvme, MigrationDir::ToHot, id)
+                    .force_page(Hop::Nvme, MigrationDir::ToHot, id)
                     .expect("migrating page must be in flight");
-                self.trace_copy_hop("force", Hop::Nvme, MigrationDir::ToHot, id, remaining);
+                self.trace_copy("force", Hop::Nvme, MigrationDir::ToHot, id, remaining);
                 self.mig.unhidden_token_units += remaining;
                 self.mig.forced_completions += 1;
-                self.land_hop(Hop::Nvme, MigrationDir::ToHot, id);
+                self.land(Hop::Nvme, MigrationDir::ToHot, id);
             }
             _ => {}
         }
@@ -1346,6 +1297,7 @@ impl PagePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lserve_quant::KvPrecision;
 
     fn pool(prec: KvPrecision) -> PagePool {
         PagePool::new(PagingConfig::new(4, 2, prec), 8, 4)

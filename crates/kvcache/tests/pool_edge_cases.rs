@@ -89,8 +89,8 @@ fn fork_of_full_page_copies_every_row() {
     }
 }
 
-/// Quantized pages fork codes + params, so a forked INT4 page dequantizes to
-/// exactly the same effective rows as its source.
+/// A forked INT4 page copies its source's quantization-rounded rows, so it
+/// reads exactly the same effective rows as its source.
 #[test]
 fn fork_preserves_quantized_rows_bitwise() {
     let mut p = pool(KvPrecision::Int4, 8);

@@ -163,5 +163,5 @@ fn quantized_pages_survive_the_round_trip_bit_exactly() {
     c.demote_all(&mut p);
     c.promote_all(&mut p).unwrap();
     let after: Vec<Vec<f32>> = (0..7).map(|t| c.key(&p, t)).collect();
-    assert_eq!(before, after, "migration must never touch stored codes");
+    assert_eq!(before, after, "migration must never touch stored rows");
 }

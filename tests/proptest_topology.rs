@@ -18,6 +18,7 @@ use lserve::core::{
 use lserve::kvcache::PagingConfig;
 use lserve::model::{ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
+use lserve::trace::{EventKind, TraceEvent, Tracer};
 use proptest::prelude::*;
 
 fn weights(seed: u64) -> Arc<ModelWeights> {
@@ -56,6 +57,7 @@ fn run_devices(
     swap: bool,
     prefix_cache: bool,
     migration: MigrationMode,
+    tracer: Tracer,
 ) -> ServingReport {
     let reqs = requests();
     let single_max = reqs
@@ -74,6 +76,7 @@ fn run_devices(
     };
     scfg.migration = migration;
     scfg.devices = devices;
+    scfg.tracer = tracer;
     let mut sched = Scheduler::new(
         Arc::new(ModelExecutor::new(Arc::clone(w), cfg.clone())),
         scfg,
@@ -95,6 +98,11 @@ fn run_devices(
 /// selection-driven demotion) where the 2- and 4-device runs must keep every
 /// output token identical to the single-device run while charging modeled
 /// interconnect tokens for cross-device gathers.
+///
+/// Every run is traced into a ring. One device is the degenerate placement:
+/// its device ledger equals the worker ledger's serial cost, and its trace
+/// keeps the single-device format (no `devices` span arg, no `interconnect`
+/// counter), while multi-device runs carry both.
 #[test]
 fn device_matrix_preserves_outputs_and_charges_interconnect() {
     let w = weights(23);
@@ -102,12 +110,54 @@ fn device_matrix_preserves_outputs_and_charges_interconnect() {
     cfg.dynamic_budget = Some(24);
     cfg.demote_after_chunks = Some(1);
     cfg.reuse_interval = 2;
-    let base = run_devices(&w, &cfg, 1, 8, 0, true, false, MigrationMode::Async);
+    let traced = |devices: usize| {
+        let tracer = Tracer::ring(1 << 18);
+        let report = run_devices(
+            &w,
+            &cfg,
+            devices,
+            8,
+            0,
+            true,
+            false,
+            MigrationMode::Async,
+            tracer.clone(),
+        );
+        let (events, dropped) = tracer.drain();
+        assert_eq!(dropped, 0, "ring evicted events at {devices} devices");
+        (report, events)
+    };
+    // (decode.attention spans carrying a `devices` arg, interconnect counters)
+    let device_events = |events: &[TraceEvent]| {
+        let attention = events
+            .iter()
+            .filter(|e| e.kind == EventKind::Span && e.name == "decode.attention")
+            .collect::<Vec<_>>();
+        assert!(!attention.is_empty(), "no decode attention phase traced");
+        let with_devices = attention
+            .iter()
+            .filter(|e| e.args.iter().any(|&(k, _)| k == "devices"))
+            .count();
+        let interconnect = events
+            .iter()
+            .filter(|e| e.kind == EventKind::Counter && e.name == "interconnect")
+            .count();
+        (with_devices, attention.len(), interconnect)
+    };
+    let (base, events) = traced(1);
     assert_eq!(base.completed.len(), 3, "rejected: {:?}", base.rejected);
     assert_eq!(base.devices, 1);
     assert_eq!(base.parallel.interconnect_tokens, 0);
+    assert_eq!(base.parallel.device_cost_total, base.parallel.cost_total);
+    assert_eq!(
+        base.parallel.device_cost_critical,
+        base.parallel.device_cost_capacity
+    );
+    let (with_devices, _, interconnect) = device_events(&events);
+    assert_eq!(with_devices, 0, "single-device spans carry no devices arg");
+    assert_eq!(interconnect, 0, "single-device runs emit no interconnect");
     for devices in [2usize, 4] {
-        let multi = run_devices(&w, &cfg, devices, 8, 0, true, false, MigrationMode::Async);
+        let (multi, events) = traced(devices);
         assert_eq!(
             multi.completed, base.completed,
             "{devices}-device outputs diverged"
@@ -119,6 +169,12 @@ fn device_matrix_preserves_outputs_and_charges_interconnect() {
         );
         assert!(multi.parallel.device_cost_capacity >= multi.parallel.device_cost_total);
         assert!(multi.parallel.device_imbalance() >= 1.0);
+        let (with_devices, phases, interconnect) = device_events(&events);
+        assert_eq!(
+            with_devices, phases,
+            "every {devices}-device phase names its devices"
+        );
+        assert_eq!(interconnect, phases, "one interconnect sample per phase");
     }
 }
 
@@ -153,10 +209,30 @@ proptest! {
         } else {
             MigrationMode::Sync
         };
-        let base = run_devices(&w, &cfg, 1, chunk, slack, swap, prefix_cache, migration);
+        let base = run_devices(
+            &w,
+            &cfg,
+            1,
+            chunk,
+            slack,
+            swap,
+            prefix_cache,
+            migration,
+            Tracer::disabled(),
+        );
         prop_assert_eq!(base.completed.len(), 3, "rejected: {:?}", base.rejected);
         for devices in [2usize, 4] {
-            let multi = run_devices(&w, &cfg, devices, chunk, slack, swap, prefix_cache, migration);
+            let multi = run_devices(
+                &w,
+                &cfg,
+                devices,
+                chunk,
+                slack,
+                swap,
+                prefix_cache,
+                migration,
+                Tracer::disabled(),
+            );
             prop_assert_eq!(
                 &multi.completed, &base.completed,
                 "outputs diverged at {} devices (wseed {} chunk {} slack {} \
